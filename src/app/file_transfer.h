@@ -189,20 +189,7 @@ public:
     // Makes forward progress on pending reply streams; idempotent, called
     // from the run loop and from the ACK handler.
     void pump() {
-        ILP_OBS_ATTR("server", obs_src_);
-        if (reply_tx_.failed()) {
-            // The reply stream is dead (RST already went out).  Park: the
-            // client re-requests what it is missing, which resets the
-            // stream and replaces these jobs.
-            if (!jobs_.empty()) {
-                jobs_abandoned_ += jobs_.size();
-                jobs_.clear();
-            }
-            return;
-        }
-        while (!jobs_.empty()) {
-            if (!send_next_reply(jobs_.front())) return;  // blocked or done
-            if (jobs_.front().finished) jobs_.pop_front();
+        while (pump_one() != 0) {
         }
     }
 
@@ -213,74 +200,18 @@ public:
     std::size_t pump_one() {
         ILP_OBS_ATTR("server", obs_src_);
         if (reply_tx_.failed()) {
-            if (!jobs_.empty()) {
-                jobs_abandoned_ += jobs_.size();
-                jobs_.clear();
-            }
+            // The reply stream is dead (RST already went out).  Park: the
+            // client re-requests what it is missing, which resets the
+            // stream and replaces these jobs.
+            jobs_abandoned_ += jobs_.size();
+            jobs_.clear();
             return 0;
         }
         while (!jobs_.empty() && jobs_.front().finished) jobs_.pop_front();
         if (jobs_.empty()) return 0;
         reply_job& job = jobs_.front();
-        const std::size_t wire =
-            rpc::layout_reply(next_payload_len(job)).wire_bytes +
-            trailer_bytes();
-        if (!send_next_reply(job)) return 0;
-        if (job.finished) jobs_.pop_front();
-        return wire;
-    }
-
-    // -----------------------------------------------------------------------
-    // Pipelined dataplane (ILP mode only): pump_one() split into its three
-    // stages so a stage_runner can overlap the fused loop of segment n with
-    // the segmentation of segment n+1.  Serial equivalence contract: for any
-    // job queue, segmentize → fuse → complete performs exactly the sends,
-    // counter updates and rekeys that the same number of pump_one() calls
-    // would — stage A charges nothing, stage C mirrors the serial counter
-    // block verbatim, and the rekey barrier (pipeline_flush_pending) makes
-    // the caller drain before a key-window advance, so every segment is
-    // encrypted under the same epoch it would be serially.
-
-    // One in-flight reply segment.  The staging block lives here because
-    // `src` holds gather segments pointing into it; slots therefore need
-    // stable addresses for their lifetime (the stage_runner's pool provides
-    // that).
-    struct pipeline_slot {
-        rpc::reply_staging staging;
-        core::gather_source src;
-        core::message_plan plan;
-        typename tcp::tcp_sender<Mem>::pending_segment pending;
-        std::size_t wire = 0;         // full wire size incl. trailer
-        std::size_t payload_len = 0;  // file bytes carried
-        const Cipher* cipher = nullptr;
-        crypto::key_epoch epoch = 0;
-        bool secure = false;
-        std::uint16_t payload_sum = 0;
-        std::optional<Mem> mem;
-    };
-
-    // Stage A: claim the next segment of the front job — build its source
-    // and plan, reserve (but do not fill or publish) its ring space, and
-    // snapshot the cipher/epoch it must be encrypted under.  Returns false
-    // exactly when pump_one() would return 0: no runnable job, failed reply
-    // stream, or no buffer/window space for the reservation.
-    bool segmentize_segment(pipeline_slot& slot) {
-        ILP_OBS_ATTR("server", obs_src_);
-        if (reply_tx_.failed()) {
-            if (!jobs_.empty()) {
-                jobs_abandoned_ += jobs_.size();
-                jobs_.clear();
-            }
-            return false;
-        }
-        while (!jobs_.empty() && jobs_.front().finished) jobs_.pop_front();
-        if (jobs_.empty()) return false;
-        reply_job& job = jobs_.front();
         ILP_OBS_SPAN("app", "reply_segment");
-
-        const std::size_t remaining = job.file->size() - job.offset;
-        const std::size_t payload_len = std::min<std::size_t>(
-            remaining, job.request.max_reply_payload);
+        const std::size_t payload_len = next_payload_len(job);
 
         rpc::reply_header header;
         header.request_id = job.request.request_id;
@@ -288,89 +219,38 @@ public:
         header.offset = static_cast<std::uint32_t>(job.offset);
         header.total_bytes = static_cast<std::uint32_t>(job.file->size());
 
+        rpc::reply_staging staging;
+        const core::gather_source src = rpc::make_reply_source(
+            header, {job.file->data() + job.offset, payload_len}, staging);
         const rpc::reply_layout layout = rpc::layout_reply(payload_len);
         const std::size_t wire = layout.wire_bytes + trailer_bytes();
-        const auto pending = reply_tx_.reserve_segment(wire);
-        if (!pending.has_value()) {
-            return false;  // delayed until buffer space is available (§3.2.2)
-        }
-        slot.src = rpc::make_reply_source(
-            header, {job.file->data() + job.offset, payload_len},
-            slot.staging);
-        slot.plan = layout.plan;
-        slot.pending = *pending;
-        slot.wire = wire;
-        slot.payload_len = payload_len;
-        slot.mem = mem_;
-        slot.secure = false;
-        slot.cipher = &data_cipher();
-        slot.epoch = 0;
+
+        bool sent = false;
         if constexpr (crypto::aead_capable<Cipher>) {
             if (secure_framing(secure_)) {
-                slot.secure = true;
-                slot.cipher = &chain_->current();
-                slot.epoch = chain_->current_epoch();
-                // Predict the rekey maybe_rekey() will perform when this
-                // segment completes: everything already segmentized was (or
-                // will be) encrypted under the current epoch, so the caller
-                // must drain the pipeline before any further segmentation.
-                if (secure_.rekey_interval_bytes != 0) {
-                    predicted_bytes_since_rekey_ += wire;
-                    if (predicted_bytes_since_rekey_ >=
-                        secure_.rekey_interval_bytes) {
-                        predicted_bytes_since_rekey_ = 0;
-                        flush_pending_ = true;
-                    }
-                }
+                sent = send_message_secure(
+                    mode_, reply_tx_, mem_, chain_->current(),
+                    chain_->current_epoch(), src, layout.plan, workspace_,
+                    tx_counters_);
             }
         }
+        if (!secure_framing(secure_)) {
+            sent = send_message(mode_, reply_tx_, mem_, data_cipher(), src,
+                                layout.plan, workspace_, tx_counters_);
+        }
+        if (!sent) {
+            return 0;  // delayed until buffer space is available (§3.2.2)
+        }
+        tx_counters_.payload_bytes += payload_len;
+        maybe_rekey(wire);
 
         job.offset += payload_len;
         if (job.offset >= job.file->size()) {
             job.offset = 0;
-            if (++job.copy >= job.request.copy_count) job.finished = true;
+            if (++job.copy >= job.request.copy_count) jobs_.pop_front();
         }
-        if (job.finished) jobs_.pop_front();
-        return true;
+        return wire;
     }
-
-    // Stage B: the fused marshal+encrypt+checksum loop, writing straight
-    // into the reserved ring span.  Static and self-contained (everything it
-    // reads lives in the slot) so it can run on a pipeline worker thread.
-    static void fuse_slot(pipeline_slot& slot) {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (slot.secure) {
-                slot.payload_sum = fill_message_secure_ilp(
-                    *slot.mem, *slot.cipher, slot.epoch, slot.src, slot.plan,
-                    slot.pending.dst);
-                return;
-            }
-        }
-        slot.payload_sum =
-            fill_message_ilp(*slot.mem, *slot.cipher, slot.src, slot.plan,
-                             slot.pending.dst);
-    }
-
-    // Stage C: publish the filled segment (transmit + retransmit arming) and
-    // perform the serial path's bookkeeping — the counter block here must
-    // stay line-for-line equivalent to send_message_[secure_]ilp +
-    // send_next_reply, or pipelined flows would diverge from serial digests.
-    void complete_segment(pipeline_slot& slot) {
-        ILP_OBS_ATTR("server", obs_src_);
-        reply_tx_.commit_segment(slot.pending, slot.payload_sum);
-        ++tx_counters_.messages;
-        tx_counters_.wire_bytes += slot.wire;
-        tx_counters_.fused_loop_bytes += slot.wire;
-        tx_counters_.cipher_bytes +=
-            slot.secure ? slot.wire - rpc::secure_trailer_bytes : slot.wire;
-        tx_counters_.payload_bytes += slot.payload_len;
-        maybe_rekey(slot.wire);
-    }
-
-    // True when a segmentized segment will advance the key window at
-    // completion: the caller must drain in-flight segments (through stage C)
-    // before segmentizing more, so post-rekey segments snapshot the new key.
-    bool pipeline_flush_pending() const noexcept { return flush_pending_; }
 
     // Wire size of the segment the next pump_one() would send (what a
     // byte-metered scheduler charges before granting), 0 when idle/failed.
@@ -565,55 +445,6 @@ private:
                                      job.request.max_reply_payload);
     }
 
-    // Sends the next segment of `job`; returns false when TCP is out of
-    // buffer/window space (retry later) or the job just finished.
-    bool send_next_reply(reply_job& job) {
-        if (job.finished) return true;
-        ILP_OBS_SPAN("app", "reply_segment");
-        const std::size_t remaining = job.file->size() - job.offset;
-        const std::size_t payload_len = std::min<std::size_t>(
-            remaining, job.request.max_reply_payload);
-
-        rpc::reply_header header;
-        header.request_id = job.request.request_id;
-        header.copy_index = job.copy;
-        header.offset = static_cast<std::uint32_t>(job.offset);
-        header.total_bytes = static_cast<std::uint32_t>(job.file->size());
-
-        rpc::reply_staging staging;
-        const core::gather_source src = rpc::make_reply_source(
-            header, {job.file->data() + job.offset, payload_len}, staging);
-        const rpc::reply_layout layout = rpc::layout_reply(payload_len);
-
-        bool sent = false;
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (secure_framing(secure_)) {
-                sent = send_message_secure(
-                    mode_, reply_tx_, mem_, chain_->current(),
-                    chain_->current_epoch(), src, layout.plan, workspace_,
-                    tx_counters_);
-            } else {
-                sent = send_message(mode_, reply_tx_, mem_, data_cipher(), src,
-                                    layout.plan, workspace_, tx_counters_);
-            }
-        } else {
-            sent = send_message(mode_, reply_tx_, mem_, *cipher_, src,
-                                layout.plan, workspace_, tx_counters_);
-        }
-        if (!sent) {
-            return false;  // delayed until buffer space is available (§3.2.2)
-        }
-        tx_counters_.payload_bytes += payload_len;
-        maybe_rekey(layout.wire_bytes + trailer_bytes());
-
-        job.offset += payload_len;
-        if (job.offset >= job.file->size()) {
-            job.offset = 0;
-            if (++job.copy >= job.request.copy_count) job.finished = true;
-        }
-        return true;
-    }
-
     // rekey_interval_bytes policy: after enough reply-stream bytes, advance
     // the key window.  Segments already in the TCP ring (and any
     // retransmissions of them) keep their old-epoch ciphertext — that is
@@ -628,7 +459,6 @@ private:
             bytes_since_rekey_ = 0;
             chain_->advance();
             ++sec_stats_.rekeys;
-            flush_pending_ = false;  // the predicted advance happened
             ILP_OBS_INSTANT("crypto", "rekey");
         }
     }
@@ -643,10 +473,6 @@ private:
     std::optional<Cipher> control_cipher_;
     secure_flow_stats sec_stats_;
     std::uint64_t bytes_since_rekey_ = 0;
-    // Stage-A mirror of bytes_since_rekey_ (counts reserved-but-uncompleted
-    // segments too) and the drain flag it raises at each predicted advance.
-    std::uint64_t predicted_bytes_since_rekey_ = 0;
-    bool flush_pending_ = false;
     std::uint32_t request_isn_;
     tcp::tcp_receiver<Mem> request_rx_;
     tcp::tcp_sender<Mem> reply_tx_;

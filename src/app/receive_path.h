@@ -92,8 +92,9 @@ tcp::rx_process_result fail_with_remainder(const Mem& mem,
                                            std::size_t from,
                                            path_counters& counters) {
     const std::size_t n = wire.total_size();
-    for (const core::gather_segment& s :
-         wire.slice(from, n - from).segments()) {
+    // Named: segments() views the slice, which must outlive the loop.
+    const core::gather_source rest = wire.slice(from, n - from);
+    for (const core::gather_segment& s : rest.segments()) {
         acc.add_bytes(mem, std::span<const std::byte>{s.data, s.len}, 8);
     }
     counters.checksum_pass_bytes += n - from;

@@ -114,11 +114,10 @@ struct secure_flow_stats {
 // ---------------------------------------------------------------------------
 // Secure send paths
 
-// The fused aead-encrypt+tag+checksum loop over one secure message plus its
-// clear [epoch | tag] trailer, writing directly into a (reserved) TCP ring
-// span; returns the folded checksum over body and trailer.  Shared verbatim
-// by the serial secure send path below and the pipelined dataplane's fused
-// stage, so both produce bit-identical ring contents.
+// The serial secure ILP send path's ring-direct fill: the fused
+// aead-encrypt+tag+checksum loop over one secure message plus its clear
+// [epoch | tag] trailer, writing straight into the reserved TCP ring span;
+// returns the folded checksum over body and trailer.
 template <memsim::memory_policy Mem, crypto::aead_capable Cipher>
 std::uint16_t fill_message_secure_ilp(const Mem& mem, const Cipher& cipher,
                                       crypto::key_epoch epoch,
@@ -319,8 +318,10 @@ tcp::rx_process_result fail_secure_body(
         counters.fused_loop_bytes += body - from;
         counters.cipher_bytes += body - from;
     }
-    for (const core::gather_segment& s :
-         wire.slice(body, rpc::secure_trailer_bytes).segments()) {
+    // Named: segments() views the slice, which must outlive the loop.
+    const core::gather_source trailer_wire =
+        wire.slice(body, rpc::secure_trailer_bytes);
+    for (const core::gather_segment& s : trailer_wire.segments()) {
         acc.add_bytes(mem, std::span<const std::byte>{s.data, s.len}, 8);
     }
     counters.checksum_pass_bytes += rpc::secure_trailer_bytes;

@@ -49,11 +49,10 @@ private:
     byte_buffer staging_;
 };
 
-// The fused marshal+encrypt+checksum loop over one message, writing
-// directly into a (reserved) TCP ring span in B,C,A part order; returns the
-// folded payload checksum.  Shared verbatim by the serial send path below
-// and the pipelined dataplane's fused stage (pipeline/stage_runner.h), so
-// both produce bit-identical ring contents.
+// The serial ILP send path's ring-direct fill: the fused
+// marshal+encrypt+checksum loop over one message, writing straight into the
+// reserved TCP ring span in B,C,A part order; returns the folded payload
+// checksum.  The native benchmark (perfbench) probes this loop on its own.
 template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
 std::uint16_t fill_message_ilp(const Mem& mem, const Cipher& cipher,
                                const core::gather_source& src,

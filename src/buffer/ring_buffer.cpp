@@ -9,7 +9,6 @@ ring_buffer::ring_buffer(std::size_t capacity) : storage_(capacity) {
 }
 
 ring_span ring_buffer::reserve(std::size_t n) {
-    ILP_EXPECT(tail_reserved_ == 0);  // no mixing with stacked reservations
     ILP_EXPECT(n <= free_space());
     const std::size_t start = write_index();
     const std::size_t until_end = capacity() - start;
@@ -21,26 +20,7 @@ ring_span ring_buffer::reserve(std::size_t n) {
 }
 
 void ring_buffer::commit(std::size_t n) {
-    ILP_EXPECT(tail_reserved_ == 0);
     ILP_EXPECT(n <= free_space());
-    size_ += n;
-}
-
-ring_span ring_buffer::reserve_tail(std::size_t n) {
-    ILP_EXPECT(n <= free_space());
-    const std::size_t start = (front_ + size_ + tail_reserved_) % capacity();
-    tail_reserved_ += n;
-    const std::size_t until_end = capacity() - start;
-    if (n <= until_end) {
-        return {storage_.subspan(start, n), {}};
-    }
-    return {storage_.subspan(start, until_end),
-            storage_.subspan(0, n - until_end)};
-}
-
-void ring_buffer::commit_tail(std::size_t n) {
-    ILP_EXPECT(n <= tail_reserved_);
-    tail_reserved_ -= n;
     size_ += n;
 }
 
@@ -83,7 +63,6 @@ void ring_buffer::release(std::size_t n) {
 void ring_buffer::clear() {
     front_ = 0;
     size_ = 0;
-    tail_reserved_ = 0;
 }
 
 }  // namespace ilp

@@ -55,9 +55,7 @@ public:
 
     std::size_t capacity() const noexcept { return storage_.size(); }
     std::size_t size() const noexcept { return size_; }
-    std::size_t free_space() const noexcept {
-        return capacity() - size_ - tail_reserved_;
-    }
+    std::size_t free_space() const noexcept { return capacity() - size_; }
     bool empty() const noexcept { return size_ == 0; }
 
     // Reserves n bytes of writable space after the current content; the
@@ -68,18 +66,6 @@ public:
 
     // Publishes the first n bytes of the most recent reservation.
     void commit(std::size_t n);
-
-    // Stacked tail reservations (the pipelined dataplane's form): each call
-    // claims the next n bytes after all previously reserved-but-uncommitted
-    // tail space, so several segments can be reserved — and filled by a
-    // later pipeline stage — before any of them is published.  Reserved
-    // space is excluded from free_space(); commit_tail() publishes the
-    // oldest n reserved bytes (commits are strictly FIFO, matching the
-    // in-order completion stage).  Must not be mixed with an outstanding
-    // legacy reserve()/commit() pair.
-    ring_span reserve_tail(std::size_t n);
-    void commit_tail(std::size_t n);
-    std::size_t tail_reserved() const noexcept { return tail_reserved_; }
 
     // Copies `data` into the ring (reserve + memcpy + commit).
     void push(std::span<const std::byte> data);
@@ -105,7 +91,6 @@ private:
     byte_buffer storage_;
     std::size_t front_ = 0;  // index of oldest byte
     std::size_t size_ = 0;   // bytes currently stored
-    std::size_t tail_reserved_ = 0;  // stacked, uncommitted tail reservations
 };
 
 }  // namespace ilp

@@ -172,13 +172,6 @@ void fleet_report::finalize() {
         bytes.record(o.payload_bytes);
     }
     for (const shard_summary& s : shards) {
-        // Pipelined-dataplane stall accounting (satellite of the ring
-        // contract): how often stage A found every slot in flight and how
-        // often stage C had to wait on the fused stage.
-        metrics.add("pipeline.ring.full_waits", s.pipeline.full_waits);
-        metrics.add("pipeline.ring.empty_waits", s.pipeline.empty_waits);
-        metrics.add("pipeline.segments", s.pipeline.segments);
-        metrics.add("pipeline.batches", s.pipeline.batches);
         metrics.add("analysis.gate.checks", s.gate.checks);
         metrics.add("analysis.gate.cache_hits", s.gate.cache_hits);
         metrics.add("analysis.gate.fallbacks", s.gate.fallbacks);

@@ -53,11 +53,6 @@ struct fleet_config {
     // so the sampled set is invariant under shards/threads — and sampling
     // can never perturb protocol behaviour or the fleet digest.
     obs::flow_sampler trace_sampler{};
-    // Run each shard's pipelined fused stage on a dedicated worker thread
-    // (shard_options::pipeline_workers); ignored for flows that did not opt
-    // in via flow_config::pipeline_depth, demoted to inline stepping under
-    // simulated memory.  Digest-neutral either way.
-    bool pipeline_workers = false;
     flow_config defaults{};
     // Per-flow override hook, applied to a copy of `defaults` before the
     // flow opens (e.g. give 10% of flows a Gilbert–Elliott loss plan).
@@ -86,10 +81,6 @@ struct shard_summary {
     // replacement for per-flow latency state.
     obs::histogram latency;
     std::vector<slow_flow> slowest;
-    // Ring-stall accounting of the shard's pipelined dataplane (all zero
-    // when no flow opted in): exported fleet-wide as pipeline.ring.*.
-    pipeline::ring_stall_stats pipeline;
-    bool pipeline_threaded = false;
 };
 
 struct fleet_report {
@@ -157,7 +148,6 @@ fleet_report run_fleet(const fleet_config& cfg, MemFactory&& shard_mems) {
     opts.policy = cfg.policy;
     opts.drr_quantum_bytes = cfg.drr_quantum_bytes;
     opts.trace_sampler = cfg.trace_sampler;
-    opts.pipeline_workers = cfg.pipeline_workers;
     if (cfg.kernel_queue_packets != 0) {
         opts.request_forward_faults.max_queue_packets =
             cfg.kernel_queue_packets;
@@ -223,8 +213,6 @@ fleet_report run_fleet(const fleet_config& cfg, MemFactory&& shard_mems) {
         s.gate = w->gate().stats();
         s.latency = w->latency_sketch();
         s.slowest = w->slowest_flows();
-        s.pipeline = w->pipeline_stats();
-        s.pipeline_threaded = w->pipeline_threaded();
         std::sort(s.slowest.begin(), s.slowest.end(),
                   [](const slow_flow& a, const slow_flow& b) {
                       return a.elapsed_us != b.elapsed_us

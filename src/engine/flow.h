@@ -60,16 +60,6 @@ struct flow_config {
     // setup; a tap that makes the fused graph illegal (crc32 on the B,C,A
     // send side) demotes the flow to the layered path.
     app::compose_tap tap = app::compose_tap::none;
-    // Pipelined dataplane (ILP mode only).  pipeline_depth > 0 opts the
-    // flow's reply path into stage pipelining over SPSC rings: segmentize →
-    // fused marshal/encrypt/checksum → ack/window bookkeeping, with up to
-    // `depth` segments in flight.  Must be a power of two (ring capacity);
-    // 0 keeps the bit-identical serial path.  pipeline_batch is the
-    // scheduler grant batch k: segments segmentized per stage-A burst before
-    // the shard drains the pipeline.  Both knobs are digest-neutral by
-    // construction (tested in tests/engine_test.cpp).
-    std::size_t pipeline_depth = 0;
-    std::size_t pipeline_batch = 4;
 };
 
 // Terminal record of one flow.  Exactly one of completed / gave_up /

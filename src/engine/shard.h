@@ -39,7 +39,6 @@
 #include "engine/scheduler.h"
 #include "net/demux.h"
 #include "obs/tracer.h"
-#include "pipeline/stage_runner.h"
 #include "rpc/messages.h"
 #include "util/contracts.h"
 
@@ -64,11 +63,6 @@ struct shard_options {
     std::uint16_t first_port = 10'000;
     std::uint16_t last_port = 59'999;
     bool legacy_single_flow = false;
-    // Run the pipelined dataplane's fused stage on a dedicated worker thread
-    // per shard.  Only honoured under direct memory (no memsim attribution
-    // source): simulated-memory runs demote to inline stepping, which
-    // produces identical output with single-threaded counter updates.
-    bool pipeline_workers = false;
     // Deterministic per-flow trace sampling (obs/sampler.h): installed on
     // the shard's tracer and stamped into every outcome.  The default
     // samples every flow — the pre-sampling behaviour.
@@ -267,12 +261,6 @@ public:
                                        obs::flight_event::connect, id);
             ++active_;
             active_insert(e);
-            // The runner outlives every flow on the shard; threaded only
-            // under direct memory (no attribution source to race on).
-            if (!opts_.legacy_single_flow && e.cfg.pipeline_depth > 0 &&
-                mode == app::path_mode::ilp) {
-                ensure_pipeline(e.cfg.pipeline_depth);
-            }
         }
         table_.emplace(id, std::move(holder));
         return issued;
@@ -362,15 +350,6 @@ public:
     }
     const std::vector<slow_flow>& slowest_flows() const noexcept {
         return slowest_;
-    }
-    // Ring-stall accounting of this shard's pipelined dataplane (zeros when
-    // no flow opted in).
-    pipeline::ring_stall_stats pipeline_stats() const noexcept {
-        return pipeline_.has_value() ? pipeline_->stats()
-                                     : pipeline::ring_stall_stats{};
-    }
-    bool pipeline_threaded() const noexcept {
-        return pipeline_.has_value() && pipeline_->threaded();
     }
 
 private:
@@ -493,11 +472,6 @@ private:
             record_transitions(e);
             return;
         }
-        if (e.cfg.pipeline_depth > 0 && e.cfg.mode == app::path_mode::ilp &&
-            pipeline_.has_value()) {
-            service_pipelined(e);
-            return;
-        }
         obs::scoped_flow flow_scope(e.id);
         scheduler_.begin_visit(e.sched, e.server->next_wire_bytes());
         for (;;) {
@@ -513,103 +487,6 @@ private:
         }
         e.client->poll();
         record_transitions(e);
-    }
-
-    // Pipelined service visit: the same grant → send → charge contract as
-    // the serial loop above, but with the fused stage of segment n
-    // overlapped with the segmentation of segment n+1 through the stage
-    // runner.  Every batch (up to cfg.pipeline_batch segments) is drained
-    // *within* the visit — before tick() advances the clock — so pipelining
-    // is invisible to virtual time and the fleet digest.
-    void service_pipelined(flow_entry& e) {
-        obs::scoped_flow flow_scope(e.id);
-        auto& runner = *pipeline_;
-        app::file_server<Mem, Cipher>& server = *e.server;
-        const std::size_t k =
-            e.cfg.pipeline_batch == 0 ? 1 : e.cfg.pipeline_batch;
-        scheduler_.begin_visit(e.sched, server.next_wire_bytes());
-        bool blocked = false;
-        while (!blocked) {
-            std::size_t batch = 0;
-            bool flush = false;
-            while (batch < k && !flush) {
-                const std::size_t wire = server.next_wire_bytes();
-                if (!scheduler_.grant(e.sched, wire)) {
-                    blocked = true;
-                    break;
-                }
-                auto* slot = runner.acquire();
-                if (slot == nullptr) {
-                    // Pipeline full: retire the oldest in-flight segment.
-                    drain_one(server);
-                    slot = runner.acquire();
-                    ILP_ENSURE(slot != nullptr);
-                }
-                bool segmentized;
-                {
-                    ILP_OBS_ATTR("server", server_obs_src_);
-                    ILP_OBS_SPAN("pipeline", "segmentize");
-                    segmentized = server.segmentize_segment(*slot);
-                }
-                if (!segmentized) {  // TCP window/buffer blocked
-                    runner.recycle(slot);
-                    blocked = true;
-                    break;
-                }
-                scheduler_.charge(e.sched, slot->wire);
-                e.serviced_bytes += slot->wire;
-                e.outcome.black_box.record(
-                    clock_.now(), obs::flight_event::segment,
-                    static_cast<std::uint32_t>(slot->wire));
-                runner.submit(slot);
-                ++batch;
-                // Rekey barrier: the segment just queued advances the key
-                // window when it completes; drain before the next segment
-                // snapshots its cipher, so post-rekey segments encrypt
-                // under the new epoch exactly as the serial path would.
-                if (server.pipeline_flush_pending()) flush = true;
-            }
-            if (batch > 0) runner.note_batch();
-            while (runner.outstanding()) drain_one(server);
-        }
-        e.client->poll();
-        record_transitions(e);
-    }
-
-    // Stage C for one slot.  Inline mode runs the fused loop inside
-    // next_done() on this thread, so the server attribution scope must cover
-    // it — serial runs the same loop under that scope inside pump_one().
-    void drain_one(app::file_server<Mem, Cipher>& server) {
-        typename app::file_server<Mem, Cipher>::pipeline_slot* slot = nullptr;
-        {
-            ILP_OBS_ATTR("server", server_obs_src_);
-            slot = pipeline_->next_done();
-        }
-        ILP_ENSURE(slot != nullptr);
-        {
-            ILP_OBS_ATTR("server", server_obs_src_);
-            ILP_OBS_SPAN("pipeline", "bookkeeping");
-            server.complete_segment(*slot);
-        }
-        pipeline_->release(slot);
-    }
-
-    // (Re)creates the shard's stage runner so its slot pool covers the
-    // deepest pipeline requested so far.  Only called from open_flow, when
-    // nothing is in flight.  Threading is demoted to inline stepping under
-    // simulated memory: memsim counters are not thread-safe, and inline
-    // stepping produces identical output.
-    void ensure_pipeline(std::size_t depth) {
-        const bool threaded = opts_.pipeline_workers &&
-                              obs::attribution_source(server_mem_) == nullptr;
-        if (pipeline_.has_value() && pipeline_->depth() >= depth &&
-            pipeline_->threaded() == threaded) {
-            return;
-        }
-        std::size_t d = depth;
-        if (pipeline_.has_value()) d = std::max(d, pipeline_->depth());
-        pipeline_.emplace(d, threaded,
-                          &app::file_server<Mem, Cipher>::fuse_slot);
     }
 
     // Id-ordered intrusive active list.  Production paths open flows in
@@ -776,8 +653,6 @@ private:
     shard_options opts_;
     Mem client_mem_;
     Mem server_mem_;
-    const memsim::memory_system* server_obs_src_ =
-        obs::attribution_source(server_mem_);
     flow_scheduler scheduler_;
     virtual_clock clock_;  // declared before the links: they capture it
     net::duplex_link request_link_;
@@ -789,9 +664,6 @@ private:
     net::port_allocator ports_;
     app::file_store store_;
     analysis::legality_gate gate_;
-    std::optional<pipeline::stage_runner<
-        typename app::file_server<Mem, Cipher>::pipeline_slot>>
-        pipeline_;
     std::map<std::uint32_t, std::unique_ptr<flow_entry>> table_;
     std::size_t active_ = 0;
     flow_entry* active_head_ = nullptr;  // live flows, ascending id

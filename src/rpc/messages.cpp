@@ -79,8 +79,9 @@ std::optional<file_request> unmarshal_request(
 reply_layout layout_reply(std::size_t payload_bytes) {
     reply_layout layout;
     layout.payload_bytes = payload_bytes;
+    // The trailing opaque's XDR pad counts as alignment (see messages.h).
     layout.marshalled_bytes = enc_header_bytes + reply_header_bytes + 4 +
-                              xdr::padded_size(payload_bytes);
+                              payload_bytes;
     layout.wire_bytes =
         align_up(layout.marshalled_bytes, core::encryption_unit_bytes);
     layout.plan = core::plan_parts(layout.marshalled_bytes);

@@ -23,6 +23,9 @@
 // Reply (server -> client), one per file segment:
 //   RPC header: msg_type=2, request_id, copy_index, offset, total_bytes
 //   body:       segment payload (XDR variable opaque)
+//   The length field stops at the last payload byte: the opaque's XDR pad
+//   is counted with the alignment bytes, so a receiver learns the exact
+//   payload size from the first cipher block.
 #pragma once
 
 #include <cstdint>

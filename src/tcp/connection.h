@@ -155,12 +155,9 @@ public:
 
     // Space the next message may occupy right now (paper §3.2.2: when the
     // retransmission buffer is full of unacknowledged data, all data
-    // manipulations are delayed until space is available again).  Reserved-
-    // but-uncommitted pipeline segments count against both the ring (via
-    // free_space) and the peer window, so a pipelined reservation fails in
-    // exactly the states where the serial send would have been blocked.
+    // manipulations are delayed until space is available again).
     std::size_t sendable_bytes() const noexcept {
-        const std::size_t in_flight = (snd_nxt_ - snd_una_) + pending_bytes_;
+        const std::size_t in_flight = snd_nxt_ - snd_una_;
         const std::size_t window_left =
             peer_window_ > in_flight ? peer_window_ - in_flight : 0;
         return std::min(ring_.free_space(), window_left);
@@ -203,63 +200,6 @@ public:
         transmit(meta);
         arm_rto();
         return true;
-    }
-
-    // --- pipelined send path (pipeline/stage_runner.h) ---------------------
-    // reserve_segment/commit_segment split send_message in two so the fused
-    // data-manipulation loop can run as its own pipeline stage: segmentize
-    // reserves ring and window space for the segment (at the sequence number
-    // it will hold once every earlier reservation commits), the fused stage
-    // fills `dst`, and the completion stage commits strictly in FIFO order —
-    // publishing the bytes, queueing the retransmission metadata and
-    // transmitting exactly as the serial path would have.
-
-    struct pending_segment {
-        std::uint32_t seq = 0;
-        std::size_t len = 0;
-        ring_span dst;
-    };
-
-    // Fails (nullopt, counted as send_blocked) in exactly the states where
-    // the serial send_message would have refused: outstanding reservations
-    // count against both the ring and the peer window.
-    std::optional<pending_segment> reserve_segment(std::size_t wire_len) {
-        ILP_EXPECT(wire_len > 0);
-        ILP_EXPECT(wire_len + header_bytes <=
-                   net::datagram_pipe::max_packet_bytes);
-        if (wire_len > sendable_bytes()) {
-            ++stats_.send_blocked;
-            return std::nullopt;
-        }
-        ILP_OBS_SPAN("tcp", "segmentize");
-        pending_segment p;
-        p.seq = snd_nxt_ + static_cast<std::uint32_t>(pending_bytes_);
-        p.len = wire_len;
-        p.dst = ring_.reserve_tail(wire_len);
-        pending_bytes_ += wire_len;
-        return p;
-    }
-
-    // FIFO-only: `p` must be the oldest outstanding reservation.
-    void commit_segment(const pending_segment& p, std::uint16_t payload_sum) {
-        ILP_EXPECT(p.seq == snd_nxt_);
-        ILP_EXPECT(pending_bytes_ >= p.len);
-        ring_.commit_tail(p.len);
-        pending_bytes_ -= p.len;
-        segment_meta meta;
-        meta.seq = p.seq;
-        meta.len = p.len;
-        meta.payload_sum = payload_sum;
-        meta.first_sent_at = clock_->now();
-        unacked_.push_back(meta);
-        snd_nxt_ += static_cast<std::uint32_t>(p.len);
-        ++stats_.messages_sent;
-        transmit(meta);
-        arm_rto();
-    }
-
-    std::size_t pending_reserved_bytes() const noexcept {
-        return pending_bytes_;
     }
 
     // Handles an arriving ACK packet (kernel memory span from the reverse
@@ -331,8 +271,7 @@ public:
         disarm_rto();
         disarm_persist();
         unacked_.clear();
-        ring_.clear();  // also drops any uncommitted tail reservations
-        pending_bytes_ = 0;
+        ring_.clear();
         snd_una_ = snd_nxt_ = isn;
         retries_ = 0;
         backoff_shift_ = 0;
@@ -544,7 +483,6 @@ private:
     std::deque<segment_meta> unacked_;
     std::uint32_t snd_una_;
     std::uint32_t snd_nxt_;
-    std::size_t pending_bytes_ = 0;  // reserved-but-uncommitted segments
     std::size_t peer_window_;
     std::uint64_t rto_token_ = 0;
     std::uint64_t persist_token_ = 0;

@@ -377,123 +377,5 @@ TEST(EngineDeterminism, SamplingRateCannotPerturbOutcomes) {
     EXPECT_EQ(all.trace_sampled, all.flows.size());
 }
 
-// --- pipelined-dataplane determinism ---------------------------------------
-
-// invariance_config with every flow opted into the pipelined reply path:
-// depth slots in flight, k segments per stage-A burst, optionally stepping
-// the fused stage on a dedicated worker thread per shard.
-fleet_config pipelined_config(std::size_t depth, std::size_t k,
-                              bool workers = false, std::uint32_t shards = 4,
-                              bool threaded = false) {
-    fleet_config cfg = invariance_config(shards, threaded);
-    cfg.pipeline_workers = workers;
-    const auto faults = cfg.per_flow;
-    cfg.per_flow = [=](std::uint32_t f, flow_config& fc) {
-        if (faults) faults(f, fc);
-        fc.pipeline_depth = depth;
-        fc.pipeline_batch = k;
-    };
-    return cfg;
-}
-
-// The tentpole contract: pipelining the reply path over SPSC rings is a
-// scheduling transformation, not a behavioural one.  The fleet digest must
-// be bit-identical to the serial path for every ring depth and batch size.
-TEST(EngineDeterminism, PipelinedDigestMatchesSerialAcrossBatchSizes) {
-    const fleet_report serial = run_fleet_native<cipher>(invariance_config(4));
-    for (const std::size_t k : {std::size_t{1}, std::size_t{4},
-                                std::size_t{16}}) {
-        const fleet_report piped =
-            run_fleet_native<cipher>(pipelined_config(4, k));
-        EXPECT_EQ(serial.digest(), piped.digest()) << "k=" << k;
-        EXPECT_EQ(serial.payload_bytes, piped.payload_bytes) << "k=" << k;
-        EXPECT_EQ(serial.completed, piped.completed) << "k=" << k;
-        // Non-vacuous: the pipelined path actually carried the segments.
-        EXPECT_GT(piped.metrics.counter("pipeline.segments"), 0u)
-            << "k=" << k;
-        EXPECT_GT(piped.metrics.counter("pipeline.batches"), 0u) << "k=" << k;
-    }
-    EXPECT_EQ(serial.metrics.counter("pipeline.segments"), 0u);
-}
-
-// Ring depth only bounds how many segments are in flight; depth 1 (a
-// mailbox pipeline) and a deep ring must agree with each other and with a
-// fleet where only some flows opted in.
-TEST(EngineDeterminism, PipelineDepthAndPartialOptInAreDigestNeutral) {
-    const fleet_report shallow =
-        run_fleet_native<cipher>(pipelined_config(1, 1));
-    const fleet_report deep = run_fleet_native<cipher>(pipelined_config(8, 4));
-    fleet_config mixed = invariance_config(4);
-    const auto faults = mixed.per_flow;
-    mixed.per_flow = [=](std::uint32_t f, flow_config& fc) {
-        if (faults) faults(f, fc);
-        if (f % 2 == 0) fc.pipeline_depth = 4;  // half pipelined, half serial
-    };
-    const fleet_report half = run_fleet_native<cipher>(mixed);
-    EXPECT_EQ(shallow.digest(), deep.digest());
-    EXPECT_EQ(shallow.digest(), half.digest());
-}
-
-// Stepping the fused stage on a real worker thread per shard — on top of
-// one OS thread per shard — must still produce the serial digest.  (Runs
-// under the TSan CI leg via the EngineDeterminism filter: this is the test
-// that pins down the SPSC hand-off between shard and fused-stage worker.)
-TEST(EngineDeterminism, ThreadedPipelineWorkersMatchInlineStepping) {
-    const fleet_report serial = run_fleet_native<cipher>(invariance_config(4));
-    const fleet_report inline_piped =
-        run_fleet_native<cipher>(pipelined_config(4, 4, false));
-    const fleet_report worker_piped =
-        run_fleet_native<cipher>(pipelined_config(4, 4, true, 4, true));
-    EXPECT_EQ(serial.digest(), inline_piped.digest());
-    EXPECT_EQ(serial.digest(), worker_piped.digest());
-    EXPECT_EQ(serial.payload_bytes, worker_piped.payload_bytes);
-    // The worker leg really ran threaded (native memory: no demotion).
-    bool any_threaded = false;
-    for (const shard_summary& s : worker_piped.shards) {
-        any_threaded = any_threaded || s.pipeline_threaded;
-    }
-    EXPECT_TRUE(any_threaded);
-    for (const shard_summary& s : inline_piped.shards) {
-        EXPECT_FALSE(s.pipeline_threaded);
-    }
-}
-
-// Secure flows add the one ordering hazard the pipeline must respect: a
-// rekey is a barrier (stage A predicts the epoch crossing and the shard
-// drains the rings before segmentizing past it).  Staggered rekey cadence
-// plus bursty loss, serial vs pipelined vs worker-threaded pipelined, must
-// agree — including the digest-relevant epoch_window_hits.
-TEST(EngineDeterminism, PipelinedSecureRekeyMatchesSerial) {
-    auto secure_cfg = [](std::size_t depth, std::size_t k, bool workers,
-                         bool threaded) {
-        fleet_config cfg;
-        cfg.flows = 12;
-        cfg.shards = 4;
-        cfg.threaded = threaded;
-        cfg.pipeline_workers = workers;
-        cfg.defaults = small_flow(8 * 1024);
-        cfg.defaults.packet_wire_bytes = 512;
-        cfg.defaults.secure = true;
-        cfg.per_flow = [=](std::uint32_t f, flow_config& fc) {
-            fc.rekey_interval_bytes = 1024 + 512 * (f % 4);
-            if (f % 4 == 0) burst_loss(fc);
-            fc.pipeline_depth = depth;
-            fc.pipeline_batch = k;
-        };
-        return cfg;
-    };
-    const auto serial =
-        run_fleet_native<crypto::aead_cipher>(secure_cfg(0, 4, false, false));
-    const auto piped =
-        run_fleet_native<crypto::aead_cipher>(secure_cfg(4, 4, false, false));
-    const auto workers =
-        run_fleet_native<crypto::aead_cipher>(secure_cfg(4, 16, true, true));
-    EXPECT_EQ(serial.digest(), piped.digest());
-    EXPECT_EQ(serial.digest(), workers.digest());
-    // Non-vacuous: rekeys actually happened on the pipelined legs.
-    EXPECT_GT(piped.metrics.counter("engine.crypto.rekeys"), 0u);
-    EXPECT_GT(workers.metrics.counter("pipeline.segments"), 0u);
-}
-
 }  // namespace
 }  // namespace ilp::engine

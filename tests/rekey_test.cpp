@@ -544,6 +544,27 @@ TEST(SecureTransfer, CompletesVerifiedWithRekeysBothModes) {
     }
 }
 
+// Wire v3 with a file whose final reply payload is not a multiple of 4, so
+// that reply carries XDR padding ahead of its trailer.
+TEST(SecureTransfer, NonWordSizedFilesCompleteVerifiedBothModes) {
+    for (const std::size_t file_bytes :
+         {std::size_t{997}, std::size_t{999}, std::size_t{1001},
+          std::size_t{1026}, std::size_t{3001}, std::size_t{15359}}) {
+        for (const auto mode :
+             {app::path_mode::ilp, app::path_mode::layered}) {
+            app::transfer_config config = secure_config();
+            config.mode = mode;
+            config.file_bytes = file_bytes;
+            const auto result = app::run_transfer_native<aead_cipher>(config);
+            ASSERT_TRUE(result.completed)
+                << "mode=" << static_cast<int>(mode) << " file=" << file_bytes;
+            EXPECT_TRUE(result.verified) << "file=" << file_bytes;
+            EXPECT_EQ(result.payload_bytes_delivered, file_bytes);
+            EXPECT_EQ(result.metrics.counter("crypto.tag_failures"), 0u);
+        }
+    }
+}
+
 TEST(SecureTransfer, NegotiatedDownV2FlowRunsClassicFraming) {
     app::transfer_config config = secure_config();
     config.secure_wire_version = rpc::wire_version;  // old peer

@@ -11,14 +11,6 @@
 //       [--top N] [--strict]                 rollups, latency sketches,
 //                                            slowest flows, sampling
 //                                            coverage and black boxes
-//   ilp-trace summarize --per-stage-worker   pipelined-dataplane view: the
-//       <trace.json> [--strict]              three pipeline stages grouped
-//                                            by execution lane (segmentize /
-//                                            fused_loop / bookkeeping) with
-//                                            inclusive memsim cost, plus the
-//                                            ring stall instants
-//                                            (ring_full_wait /
-//                                            ring_empty_wait)
 //   ilp-trace validate  <file.json>          structural check of a Chrome
 //                                            trace or a BENCH schema file
 //   ilp-trace diff <old.json> <new.json>     compare two BENCH JSON reports
@@ -53,8 +45,6 @@ int usage() {
                  " [--top N] [--strict]\n"
                  "       ilp-trace summarize --fleet <fleet.json>"
                  " [--top N] [--strict]\n"
-                 "       ilp-trace summarize --per-stage-worker <trace.json>"
-                 " [--strict]\n"
                  "       ilp-trace validate <file.json>\n"
                  "       ilp-trace diff <old.json> <new.json>"
                  " [--threshold=<pct>]\n");
@@ -232,123 +222,6 @@ int cmd_summarize(const std::string& path, bool per_flow, long long top,
                      "ilp-trace: WARNING: tracer ring dropped %llu event(s) "
                      "-- the table above is incomplete; grow the ring or "
                      "sample fewer flows\n",
-                     static_cast<unsigned long long>(dropped));
-        if (strict) return 1;
-    }
-    return 0;
-}
-
-// ----------------------------------------------- summarize per-stage-worker
-
-// Pipelined-dataplane view: only the "pipeline" category, grouped by
-// execution lane (the exporter's thread_name — the attribution side the
-// stage ran under) and stage name.  Stage spans report *inclusive* memsim
-// cost: the three stages are disjoint siblings, so inclusive totals give a
-// double-count-free split, and the fused stage's nested fused_part spans
-// fold into it.  Ring stalls (stage A found every slot in flight / stage C
-// waited on the fused stage) surface as instant counts per lane.
-int cmd_summarize_per_stage_worker(const std::string& path, bool strict) {
-    const std::optional<value> doc = ilp::json::parse_file(path);
-    if (!doc.has_value()) {
-        std::fprintf(stderr, "ilp-trace: cannot parse %s\n", path.c_str());
-        return 2;
-    }
-    const ilp::json::array* events = trace_events(*doc);
-    if (events == nullptr) {
-        std::fprintf(stderr, "ilp-trace: %s is not a trace_event file\n",
-                     path.c_str());
-        return 2;
-    }
-
-    struct lane_stage {
-        std::uint64_t count = 0;
-        double dur_us = 0;
-        std::uint64_t accesses = 0;    // inclusive
-        std::uint64_t l1d_misses = 0;  // inclusive
-        std::uint64_t cycles = 0;      // inclusive
-    };
-    std::map<double, std::string> thread_names;
-    std::map<std::pair<std::string, std::string>, lane_stage> stages;
-    std::map<std::pair<std::string, std::string>, std::uint64_t> stalls;
-    for (const value& ev : *events) {
-        const std::string ph = ev.string_at("ph");
-        if (ph == "M" && ev.string_at("name") == "thread_name") {
-            const value* args = ev.find("args");
-            if (args != nullptr) {
-                thread_names[ev.number_at("tid")] = args->string_at("name");
-            }
-            continue;
-        }
-        if (ev.string_at("cat") != "pipeline") continue;
-        const auto tn = thread_names.find(ev.number_at("tid"));
-        const std::string lane =
-            tn == thread_names.end() ? "-" : tn->second;
-        if (ph == "i") {
-            ++stalls[{lane, ev.string_at("name")}];
-            continue;
-        }
-        if (ph != "X") continue;
-        lane_stage& s = stages[{lane, ev.string_at("name")}];
-        ++s.count;
-        s.dur_us += ev.number_at("dur");
-        if (const value* args = ev.find("args")) {
-            s.accesses +=
-                static_cast<std::uint64_t>(args->number_at("accesses"));
-            s.l1d_misses +=
-                static_cast<std::uint64_t>(args->number_at("l1d_misses"));
-            s.cycles += static_cast<std::uint64_t>(args->number_at("cycles"));
-        }
-    }
-    if (stages.empty() && stalls.empty()) {
-        std::fprintf(stderr,
-                     "ilp-trace: %s has no pipeline-category events (was the "
-                     "fleet run with flow_config::pipeline_depth > 0?)\n",
-                     path.c_str());
-        return strict ? 1 : 0;
-    }
-
-    std::uint64_t total_cycles = 0;
-    for (const auto& [key, s] : stages) total_cycles += s.cycles;
-    ilp::stats::table out({"lane", "stage", "count", "dur", "accesses",
-                           "l1d misses", "cycles", "cycle %"});
-    for (const auto& [key, s] : stages) {
-        const double share =
-            total_cycles == 0 ? 0.0
-                              : 100.0 * static_cast<double>(s.cycles) /
-                                    static_cast<double>(total_cycles);
-        out.row()
-            .cell(key.first)
-            .cell(key.second)
-            .cell(s.count)
-            .cell(s.dur_us, 0)
-            .cell(s.accesses)
-            .cell(s.l1d_misses)
-            .cell(s.cycles)
-            .cell(share, 1);
-    }
-    out.print();
-
-    std::uint64_t stall_total = 0;
-    if (!stalls.empty()) {
-        ilp::stats::table stall_out({"lane", "stall", "count"});
-        for (const auto& [key, n] : stalls) {
-            stall_out.row().cell(key.first).cell(key.second).cell(n);
-            stall_total += n;
-        }
-        stall_out.print();
-    }
-    std::printf("%zu pipeline stage lane(s), %llu ring stall(s)\n",
-                stages.size(), static_cast<unsigned long long>(stall_total));
-
-    std::uint64_t dropped = 0;
-    if (const value* other = doc->find("otherData")) {
-        dropped =
-            static_cast<std::uint64_t>(other->number_at("dropped_events"));
-    }
-    if (dropped > 0) {
-        std::fprintf(stderr,
-                     "ilp-trace: WARNING: tracer ring dropped %llu event(s) "
-                     "-- the table above is incomplete\n",
                      static_cast<unsigned long long>(dropped));
         if (strict) return 1;
     }
@@ -664,7 +537,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> paths;
     double threshold_pct = 5.0;
     bool per_flow = false;
-    bool per_stage_worker = false;
     bool fleet = false;
     bool strict = false;
     long long top = 0;  // 0 = unlimited
@@ -681,8 +553,6 @@ int main(int argc, char** argv) {
         const std::string arg = argv[i];
         if (arg == "--per-flow") {
             per_flow = true;
-        } else if (arg == "--per-stage-worker") {
-            per_stage_worker = true;
         } else if (arg == "--fleet") {
             fleet = true;
         } else if (arg == "--strict") {
@@ -708,11 +578,8 @@ int main(int argc, char** argv) {
         }
     }
     if (command == "summarize" && paths.size() == 1) {
-        if (fleet) return cmd_summarize_fleet(paths[0], top, strict);
-        if (per_stage_worker) {
-            return cmd_summarize_per_stage_worker(paths[0], strict);
-        }
-        return cmd_summarize(paths[0], per_flow, top, strict);
+        return fleet ? cmd_summarize_fleet(paths[0], top, strict)
+                     : cmd_summarize(paths[0], per_flow, top, strict);
     }
     if (command == "validate" && paths.size() == 1) {
         return cmd_validate(paths[0]);
