@@ -21,7 +21,6 @@
 #include <deque>
 #include <map>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "app/path_mode.h"
@@ -77,6 +76,86 @@ private:
 };
 
 // ---------------------------------------------------------------------------
+// Flow keys: one framing selection per direction
+
+// An endpoint's keys and negotiated framing, identical on both ends of a
+// flow.  reply() and request() call `fn` with the direction's framing —
+// the aead model for secure wire-v3 flows, the plain model otherwise — so
+// each data-path call site is written once, for both models.
+template <crypto::block_cipher Cipher>
+class flow_keys {
+public:
+    flow_keys(const Cipher& cipher, const secure_params& params)
+        : cipher_(&cipher), params_(params) {
+        if constexpr (crypto::aead_capable<Cipher>) {
+            if (params_.enabled) {
+                chain_.emplace(params_.flow_secret);
+                control_.emplace(crypto::derive_control_cipher<Cipher>(
+                    params_.flow_secret));
+            }
+        } else {
+            // Secure mode needs a KDF-derivable, tag-capable cipher.
+            ILP_EXPECT(!params_.enabled);
+        }
+    }
+
+    const secure_params& params() const noexcept { return params_; }
+    bool aead() const noexcept { return secure_framing(params_); }
+
+    // Trailer overhead of the flow's framing (0 for plain / downgraded v2).
+    std::size_t trailer_bytes() const noexcept {
+        return aead() ? rpc::secure_trailer_bytes : 0;
+    }
+    std::uint32_t wire_version() const noexcept {
+        return aead() ? rpc::wire_version_secure : rpc::wire_version;
+    }
+    crypto::key_epoch current_epoch() const noexcept {
+        return chain_.has_value() ? chain_->current_epoch() : 0;
+    }
+    // The reply direction's key window; present only on secure flows.
+    crypto::keychain<Cipher>& chain() { return *chain_; }
+
+    // Reply direction: the keychain's current epoch key (the pinned epoch-0
+    // key on a secure-but-v2 flow), else the caller's static cipher.
+    template <typename Fn>
+    auto reply(Fn&& fn, secure_rx_status* status = nullptr) {
+        if constexpr (crypto::aead_capable<Cipher>) {
+            if (aead()) {
+                return fn(aead_framing<Cipher>{&chain_->current(),
+                                               chain_->current_epoch(),
+                                               &*chain_, status});
+            }
+            if (chain_.has_value()) {
+                return fn(plain_framing<Cipher>{&chain_->current()});
+            }
+        }
+        return fn(plain_framing<Cipher>{cipher_});
+    }
+
+    // Request direction: the epoch-free control key on secure flows; a
+    // sent trailer carries the client's data epoch for the server's window.
+    template <typename Fn>
+    auto request(Fn&& fn, secure_rx_status* status = nullptr) {
+        if constexpr (crypto::aead_capable<Cipher>) {
+            if (aead()) {
+                return fn(aead_framing<Cipher>{&*control_, current_epoch(),
+                                               nullptr, status});
+            }
+            if (control_.has_value()) {
+                return fn(plain_framing<Cipher>{&*control_});
+            }
+        }
+        return fn(plain_framing<Cipher>{cipher_});
+    }
+
+private:
+    const Cipher* cipher_;
+    secure_params params_;
+    std::optional<crypto::keychain<Cipher>> chain_;
+    std::optional<Cipher> control_;
+};
+
+// ---------------------------------------------------------------------------
 // Server
 
 template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
@@ -92,26 +171,14 @@ public:
                 const tcp::connection_config& reply_cfg, path_mode mode,
                 const file_store& store, const secure_params& secure = {})
         : mem_(mem),
-          cipher_(&cipher),
+          keys_(cipher, secure),
           mode_(mode),
           store_(&store),
-          secure_(secure),
           request_isn_(request_cfg.initial_seq),
           request_rx_(mem, clock, request_ack_out, request_cfg),
           reply_tx_(mem, clock, reply_data_out, reply_cfg),
           workspace_(net::datagram_pipe::max_packet_bytes),
           request_staging_(net::datagram_pipe::max_packet_bytes) {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (secure_.enabled) {
-                chain_.emplace(secure_.flow_secret);
-                control_cipher_.emplace(
-                    crypto::derive_control_cipher<Cipher>(
-                        secure_.flow_secret));
-            }
-        } else {
-            // Secure mode needs a KDF-derivable, tag-capable cipher.
-            ILP_EXPECT(!secure_.enabled);
-        }
         reply_tx_.set_attribution("server", obs_src_);
         // The client's request sender RSTs when it gives up; rewind to the
         // agreed initial sequence so its re-established sender lines up.
@@ -223,21 +290,12 @@ public:
         const core::gather_source src = rpc::make_reply_source(
             header, {job.file->data() + job.offset, payload_len}, staging);
         const rpc::reply_layout layout = rpc::layout_reply(payload_len);
-        const std::size_t wire = layout.wire_bytes + trailer_bytes();
+        const std::size_t wire = layout.wire_bytes + keys_.trailer_bytes();
 
-        bool sent = false;
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (secure_framing(secure_)) {
-                sent = send_message_secure(
-                    mode_, reply_tx_, mem_, chain_->current(),
-                    chain_->current_epoch(), src, layout.plan, workspace_,
-                    tx_counters_);
-            }
-        }
-        if (!secure_framing(secure_)) {
-            sent = send_message(mode_, reply_tx_, mem_, data_cipher(), src,
+        const bool sent = keys_.reply([&](const auto& framing) {
+            return send_message(mode_, reply_tx_, mem_, framing, src,
                                 layout.plan, workspace_, tx_counters_);
-        }
+        });
         if (!sent) {
             return 0;  // delayed until buffer space is available (§3.2.2)
         }
@@ -259,7 +317,7 @@ public:
         for (const reply_job& job : jobs_) {
             if (!job.finished) {
                 return rpc::layout_reply(next_payload_len(job)).wire_bytes +
-                       trailer_bytes();
+                       keys_.trailer_bytes();
             }
         }
         return 0;
@@ -293,10 +351,7 @@ public:
         return sec_stats_;
     }
     crypto::key_epoch current_epoch() const noexcept {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (chain_.has_value()) return chain_->current_epoch();
-        }
-        return 0;
+        return keys_.current_epoch();
     }
 
 private:
@@ -308,57 +363,29 @@ private:
         bool finished = false;
     };
 
-    // Trailer overhead of the flow's framing (0 for plain / downgraded v2).
-    std::size_t trailer_bytes() const noexcept {
-        return secure_framing(secure_) ? rpc::secure_trailer_bytes : 0;
-    }
-
-    // Request-direction processor: secure framing decrypts under the
-    // epoch-free control key and verifies the tag; otherwise the classic
-    // path (with the KDF epoch-0 key when the flow is secure-but-v2).
-    // Wire is either a contiguous span (staged copy) or a const_ring_span
-    // chain (zero-copy loan); the receive-path overloads resolve by type.
+    // Request-direction processor.  Wire is either a contiguous span
+    // (staged copy) or a const_ring_span chain (zero-copy loan).
     template <typename Wire>
     tcp::rx_process_result process_request(const Wire& payload) {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (secure_framing(secure_)) {
-                secure_rx_status status;
-                const auto result = receive_request_secure(
-                    mode_, mem_, *control_cipher_, payload,
-                    request_staging_.span(), &status, rx_counters_);
-                if (status.cause == secure_rx_cause::tag_mismatch) {
-                    ++sec_stats_.tag_failures;
-                    ILP_OBS_INSTANT("crypto", "request_tag_mismatch");
-                }
-                return result;
-            }
+        secure_rx_status status;
+        const auto result = keys_.request(
+            [&](const auto& framing) {
+                return receive_request(mode_, mem_, framing, payload,
+                                       request_staging_.span(), rx_counters_);
+            },
+            &status);
+        if (status.cause == secure_rx_cause::tag_mismatch) {
+            ++sec_stats_.tag_failures;
+            ILP_OBS_INSTANT("crypto", "request_tag_mismatch");
         }
-        return receive_request(mode_, mem_, request_cipher(), payload,
-                               request_staging_.span(), rx_counters_);
-    }
-
-    // The cipher the reply stream runs under: the keychain's current epoch
-    // key for secure flows, else the caller-provided static cipher.
-    const Cipher& data_cipher() const {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (chain_.has_value()) return chain_->current();
-        }
-        return *cipher_;
-    }
-
-    // The cipher the request direction runs under.
-    const Cipher& request_cipher() const {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (control_cipher_.has_value()) return *control_cipher_;
-        }
-        return *cipher_;
+        return result;
     }
 
     void on_request(std::size_t wire_len) {
         ILP_OBS_SPAN("app", "serve_request");
-        ILP_EXPECT(wire_len >= trailer_bytes());
+        ILP_EXPECT(wire_len >= keys_.trailer_bytes());
         const auto request = rpc::unmarshal_request(
-            request_staging_.subspan(0, wire_len - trailer_bytes()));
+            request_staging_.subspan(0, wire_len - keys_.trailer_bytes()));
         if (!request.has_value() || request->copy_count == 0 ||
             request->max_reply_payload == 0) {
             ++requests_rejected_;
@@ -366,10 +393,7 @@ private:
         }
         // Version pinning: the flow's negotiated framing decides which wire
         // version is acceptable; anything else is rejected explicitly.
-        const std::uint32_t expected_version = secure_framing(secure_)
-                                                   ? rpc::wire_version_secure
-                                                   : rpc::wire_version;
-        if (request->version != expected_version) {
+        if (request->version != keys_.wire_version()) {
             ++requests_rejected_;
             return;
         }
@@ -377,7 +401,7 @@ private:
             // A v3 request carries the client's epoch: re-centre the key
             // window before replying (a server picking up a flow resumed
             // after an outage must not answer under a retired epoch).
-            if (secure_framing(secure_) && chain_->adopt(request->key_epoch)) {
+            if (keys_.aead() && keys_.chain().adopt(request->key_epoch)) {
                 ++sec_stats_.epoch_adoptions;
                 ILP_OBS_INSTANT("crypto", "epoch_adopted");
             }
@@ -451,13 +475,12 @@ private:
     // precisely what the receiver's two-epoch window absorbs.
     void maybe_rekey(std::size_t sent_wire_bytes) {
         if constexpr (crypto::aead_capable<Cipher>) {
-            if (!secure_framing(secure_) || secure_.rekey_interval_bytes == 0) {
-                return;
-            }
+            const std::uint64_t interval = keys_.params().rekey_interval_bytes;
+            if (!keys_.aead() || interval == 0) return;
             bytes_since_rekey_ += sent_wire_bytes;
-            if (bytes_since_rekey_ < secure_.rekey_interval_bytes) return;
+            if (bytes_since_rekey_ < interval) return;
             bytes_since_rekey_ = 0;
-            chain_->advance();
+            keys_.chain().advance();
             ++sec_stats_.rekeys;
             ILP_OBS_INSTANT("crypto", "rekey");
         }
@@ -465,12 +488,9 @@ private:
 
     Mem mem_;
     const memsim::memory_system* obs_src_ = obs::attribution_source(mem_);
-    const Cipher* cipher_;
+    flow_keys<Cipher> keys_;
     path_mode mode_;
     const file_store* store_;
-    secure_params secure_;
-    std::optional<crypto::keychain<Cipher>> chain_;
-    std::optional<Cipher> control_cipher_;
     secure_flow_stats sec_stats_;
     std::uint64_t bytes_since_rekey_ = 0;
     std::uint32_t request_isn_;
@@ -504,25 +524,14 @@ public:
                 const retry_policy& retry = {},
                 const secure_params& secure = {})
         : mem_(mem),
-          cipher_(&cipher),
+          keys_(cipher, secure),
           mode_(mode),
           clock_(&clock),
           policy_(retry),
-          secure_(secure),
           request_isn_(request_cfg.initial_seq),
           request_tx_(mem, clock, request_data_out, request_cfg),
           reply_rx_(mem, clock, reply_ack_out, reply_cfg),
           workspace_(net::datagram_pipe::max_packet_bytes) {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (secure_.enabled) {
-                chain_.emplace(secure_.flow_secret);
-                control_cipher_.emplace(
-                    crypto::derive_control_cipher<Cipher>(
-                        secure_.flow_secret));
-            }
-        } else {
-            ILP_EXPECT(!secure_.enabled);
-        }
         request_tx_.set_attribution("client", obs_src_);
         reply_rx_.set_processor([this](std::span<std::byte> payload) {
             return process_reply(payload);
@@ -592,8 +601,7 @@ public:
         ILP_OBS_SPAN("rpc", "request");
         rpc::file_request r = request;
         r.reply_isn = reply_rx_.expected_seq();
-        r.version = secure_framing(secure_) ? rpc::wire_version_secure
-                                            : rpc::wire_version;
+        r.version = keys_.wire_version();
         r.key_epoch = current_epoch();
         if (!issue_request(r)) return false;
         state_.request = r;
@@ -697,10 +705,7 @@ public:
         return sec_stats_;
     }
     crypto::key_epoch current_epoch() const noexcept {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (chain_.has_value()) return chain_->current_epoch();
-        }
-        return 0;
+        return keys_.current_epoch();
     }
 
 private:
@@ -744,21 +749,15 @@ private:
         };
 
         rpc::reply_header header;
-        tcp::rx_process_result result;
+        secure_rx_status status;
         const std::uint64_t payload_before = rx_counters_.payload_bytes;
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (secure_framing(secure_)) {
-                secure_rx_status status;
-                result = receive_reply_secure(mode_, mem_, *chain_, payload,
-                                              resolve, &header, &status,
-                                              rx_counters_);
-                note_secure_status(status);
-            } else {
-                result = plain_receive_reply(payload, resolve, &header);
-            }
-        } else {
-            result = plain_receive_reply(payload, resolve, &header);
-        }
+        const tcp::rx_process_result result = keys_.reply(
+            [&](const auto& framing) {
+                return receive_reply(mode_, mem_, framing, payload, resolve,
+                                     &header, rx_counters_);
+            },
+            &status);
+        note_secure_status(status);
         // Remember what this reply would contribute; it is committed only if
         // TCP's final stage accepts the segment.
         if (result.ok) {
@@ -800,45 +799,9 @@ private:
         last_progress_us_ = clock_->now();
     }
 
-    // The classic (trailer-less) reply receive, under the keychain's key for
-    // secure-but-v2 flows and the static cipher otherwise.  A chain wire can
-    // only reach the data path in ILP mode (the chain processor is installed
-    // only then; layered deliveries get a staged copy from the TCP layer).
-    template <typename Wire, typename Resolver>
-    tcp::rx_process_result plain_receive_reply(const Wire& payload,
-                                               Resolver&& resolve,
-                                               rpc::reply_header* header) {
-        if constexpr (std::is_same_v<std::decay_t<Wire>, const_ring_span>) {
-            ILP_EXPECT(mode_ == path_mode::ilp);
-            return receive_reply_ilp(mem_, data_cipher(), payload, resolve,
-                                     header, rx_counters_);
-        } else {
-            if (mode_ == path_mode::ilp) {
-                return receive_reply_ilp(mem_, data_cipher(), payload,
-                                         resolve, header, rx_counters_);
-            }
-            return receive_reply_layered(mem_, data_cipher(), payload,
-                                         resolve, header, rx_counters_);
-        }
-    }
-
-    const Cipher& data_cipher() const {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (chain_.has_value()) return chain_->current();
-        }
-        return *cipher_;
-    }
-
-    // Request-direction key; must mirror the server's request_cipher().
-    const Cipher& request_cipher() const {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (control_cipher_.has_value()) return *control_cipher_;
-        }
-        return *cipher_;
-    }
-
-    // Folds one secure receive verdict into the counters/metrics; every
-    // explicit failure cause leaves a distinct trace.
+    // Folds one receive verdict into the counters/metrics; every explicit
+    // failure cause leaves a distinct trace (a plain-framed receive leaves
+    // the status at `malformed`, which records nothing).
     void note_secure_status(const secure_rx_status& status) {
         switch (status.cause) {
             case secure_rx_cause::tag_mismatch:
@@ -876,18 +839,10 @@ private:
         src.add({wire, *wire_len});
         const core::message_plan plan = core::plan_parts(
             rpc::validate_enc_header(load_be32(wire), *wire_len).value());
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (secure_framing(secure_)) {
-                // Requests run under the epoch-free control key; the trailer
-                // carries the client's data epoch for the server's window.
-                return send_message_secure(mode_, request_tx_, mem_,
-                                           *control_cipher_, current_epoch(),
-                                           src, plan, workspace_,
-                                           tx_counters_);
-            }
-        }
-        return send_message(mode_, request_tx_, mem_, request_cipher(), src,
-                            plan, workspace_, tx_counters_);
+        return keys_.request([&](const auto& framing) {
+            return send_message(mode_, request_tx_, mem_, framing, src, plan,
+                                workspace_, tx_counters_);
+        });
     }
 
     // Highest contiguously committed offset in the reply stream (copies
@@ -950,13 +905,10 @@ private:
 
     Mem mem_;
     const memsim::memory_system* obs_src_ = obs::attribution_source(mem_);
-    const Cipher* cipher_;
+    flow_keys<Cipher> keys_;
     path_mode mode_;
     virtual_clock* clock_;
     retry_policy policy_;
-    secure_params secure_;
-    std::optional<crypto::keychain<Cipher>> chain_;
-    std::optional<Cipher> control_cipher_;
     secure_flow_stats sec_stats_;
     std::uint32_t request_isn_;
     tcp::tcp_sender<Mem> request_tx_;

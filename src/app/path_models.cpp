@@ -70,7 +70,7 @@ std::vector<analysis::finding> register_app_pipelines(
     using send_loop = core::fused_pipeline<enc, core::checksum_tap8>;
     {
         pipeline_model m =
-            model("app-send-ilp", "src/app/send_path.h:send_message_ilp",
+            model("app-send-ilp", "src/app/send_path.h:fill_message_ilp",
                   pipeline_kind::fused, send_loop::footprints(),
                   send_loop::unit_bytes);
         m.out_of_order_parts = true;
@@ -141,16 +141,17 @@ std::vector<analysis::finding> register_app_pipelines(
         take(registry.add(std::move(m)));
     }
 
-    // Secure (AEAD) paths: the keystream+tag cipher replaces the block
-    // cipher inside the same fused compositions, so the B,C,A send order
-    // and the two-phase receive split must clear the same geometry rules.
-    // The 8-byte clear trailer is outside these loops (a separate mini-pass
-    // in secure_path.h), so the body geometry is unchanged.
+    // Secure (AEAD) paths: the same functions under the aead framing.  The
+    // keystream+tag cipher replaces the block cipher inside the same fused
+    // compositions, so the B,C,A send order and the two-phase receive split
+    // must clear the same geometry rules.  The 8-byte clear trailer is
+    // outside these loops (the aead framing's mini-pass, secure_path.h), so
+    // the body geometry is unchanged.
     using aead_send_loop = core::fused_pipeline<aead_enc, core::checksum_tap8>;
     {
         pipeline_model m = model(
             "app-send-secure-ilp",
-            "src/app/secure_path.h:send_message_secure_ilp",
+            "src/app/send_path.h:fill_message_ilp",
             pipeline_kind::fused, aead_send_loop::footprints(),
             aead_send_loop::unit_bytes);
         m.out_of_order_parts = true;
@@ -163,7 +164,7 @@ std::vector<analysis::finding> register_app_pipelines(
             core::plan_parts(representative_marshalled).total_bytes;
         pipeline_model m = model(
             "app-recv-secure-ilp",
-            "src/app/secure_path.h:receive_reply_secure_ilp",
+            "src/app/receive_path.h:receive_reply_ilp",
             pipeline_kind::fused, aead_recv_loop::footprints(),
             aead_recv_loop::unit_bytes);
         m.parts = {{0, 24}, {24, total - 24}};
@@ -172,7 +173,7 @@ std::vector<analysis::finding> register_app_pipelines(
     {
         pipeline_model m = model(
             "app-send-secure-layered",
-            "src/app/secure_path.h:send_message_secure_layered",
+            "src/app/send_path.h:send_message_layered",
             pipeline_kind::layered,
             {analysis::footprint_of<core::xdr_encode_stage>(),
              analysis::footprint_of<aead_enc>(),
@@ -184,7 +185,7 @@ std::vector<analysis::finding> register_app_pipelines(
     {
         pipeline_model m = model(
             "app-recv-secure-layered",
-            "src/app/secure_path.h:receive_reply_secure_layered",
+            "src/app/receive_path.h:receive_reply_layered",
             pipeline_kind::layered,
             {analysis::footprint_of<core::checksum_tap8>(),
              analysis::footprint_of<aead_dec>(),

@@ -4,7 +4,9 @@
 // header parse (initial stage) and before TCP commits anything (final
 // stage).  They must *always* return the folded checksum of the complete
 // ciphertext payload — even when the message is malformed — because the
-// final stage needs it for the accept/reject verdict.
+// final stage needs it for the accept/reject verdict.  The key argument
+// selects the wire framing (secure_path.h): a bare block cipher reads wire
+// v2; an aead_framing reads and verifies the v3 [epoch | tag] trailer.
 //
 //   ILP:      checksum + decrypt + unmarshal fused into the copy out of the
 //             receive buffer.  The first cipher blocks are decrypted first
@@ -20,9 +22,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <type_traits>
 
 #include "app/path_mode.h"
+#include "app/secure_path.h"
 #include "checksum/internet_checksum.h"
 #include "core/fused_pipeline.h"
 #include "core/layered_path.h"
@@ -54,8 +59,12 @@ struct reply_header_staging {
     std::uint32_t words[6] = {};  // length, msg_type, request_id, copy_index,
                                   // offset, total_bytes
 
-    std::span<std::byte> bytes() {
-        return {reinterpret_cast<std::byte*>(words), sizeof words};
+    // Destination of the header region's XDR words.
+    core::scatter_dest dest() {
+        core::scatter_dest dst;
+        dst.add({reinterpret_cast<std::byte*>(words), sizeof words},
+                core::segment_op::xdr_words);
+        return dst;
     }
     rpc::reply_header to_header() const {
         rpc::reply_header h;
@@ -66,39 +75,32 @@ struct reply_header_staging {
         h.total_bytes = words[5];
         return h;
     }
+    // Payload size the header promises for a `body`-byte wire image, or
+    // nullopt when the length field or message type is invalid.
+    std::optional<std::size_t> payload_bytes(std::size_t body) const {
+        const auto marshalled = rpc::validate_enc_header(words[0], body);
+        if (!marshalled.has_value() ||
+            *marshalled < rpc::reply_payload_offset ||
+            words[1] != rpc::msg_type_reply) {
+            return std::nullopt;
+        }
+        return *marshalled - rpc::reply_payload_offset;
+    }
 };
 
-// Folds the untouched remainder of the wire into the accumulator so TCP can
-// still verdict a malformed message, and reports failure.
-template <memsim::memory_policy Mem>
-tcp::rx_process_result fail_with_remainder(const Mem& mem,
-                                           checksum::inet_accumulator& acc,
-                                           std::span<std::byte> wire,
-                                           std::size_t from,
-                                           path_counters& counters) {
-    core::checksum_pass(mem, acc, wire.subspan(from), 8);
-    counters.checksum_pass_bytes += wire.size() - from;
-    return {acc.folded(), false};
-}
-
-// Gather-source form, for the zero-copy chain paths: checksums the
-// remainder segment by segment (the accumulator's odd-parity tracking makes
-// that correct for any chain split).  On a single-segment source this runs
-// the exact same accesses as the span form above.
-template <memsim::memory_policy Mem>
-tcp::rx_process_result fail_with_remainder(const Mem& mem,
-                                           checksum::inet_accumulator& acc,
-                                           const core::gather_source& wire,
-                                           std::size_t from,
-                                           path_counters& counters) {
-    const std::size_t n = wire.total_size();
-    // Named: segments() views the slice, which must outlive the loop.
-    const core::gather_source rest = wire.slice(from, n - from);
-    for (const core::gather_segment& s : rest.segments()) {
-        acc.add_bytes(mem, std::span<const std::byte>{s.data, s.len}, 8);
-    }
-    counters.checksum_pass_bytes += n - from;
-    return {acc.folded(), false};
+// Destination of everything after the header region: the opaque length
+// word, the payload (straight into the application's buffer) and the
+// discarded padding.
+inline core::scatter_dest reply_body_dest(std::uint32_t& opaque_len,
+                                          std::span<std::byte> payload,
+                                          std::size_t body) {
+    core::scatter_dest dst;
+    dst.add({reinterpret_cast<std::byte*>(&opaque_len), 4},
+            core::segment_op::xdr_words);
+    if (!payload.empty()) dst.add(payload);
+    const std::size_t pad = body - rpc::reply_payload_offset - payload.size();
+    if (pad > 0) dst.add_discard(pad);
+    return dst;
 }
 
 }  // namespace detail
@@ -106,30 +108,38 @@ tcp::rx_process_result fail_with_remainder(const Mem& mem,
 // ---------------------------------------------------------------------------
 // Reply receive paths
 
-// Primary (zero-copy) form: the wire arrives as a loaned kernel-segment
-// chain — up to two spans around the receive-ring wrap — and the fused loop
-// reads it in place, exactly once, with no reassembly copy.  The contiguous
-// overload below delegates here with a single-piece chain, so the copying
-// mode runs the identical access sequence it always has.
-template <memsim::memory_policy Mem, crypto::block_cipher Cipher,
+// The fused path reads the wire as a loaned kernel-segment chain — up to two
+// spans around the receive-ring wrap — in place, exactly once, with no
+// reassembly copy.  Contiguous callers (the staged-copy mode, unit
+// fixtures) pass their span, which converts to a one-piece chain, so they
+// run the identical access sequence.
+template <memsim::memory_policy Mem, typename Keys,
           reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_ilp(const Mem& mem, const Cipher& cipher,
+tcp::rx_process_result receive_reply_ilp(const Mem& mem, const Keys& keys,
                                          const const_ring_span& wire,
                                          Resolver&& resolve,
                                          rpc::reply_header* out_header,
                                          path_counters& counters) {
+    const auto framing = as_framing(keys);
     const std::size_t n = wire.size();
     counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_ilp");
+    ILP_OBS_SPAN("app", framing.receive_ilp_span);
     checksum::inet_accumulator acc;
+    typename decltype(framing)::opener rx(framing);
     const core::gather_source src = core::chain_source(wire);
-    if (n < rpc::reply_payload_offset + 4 ||
+    if (n < rpc::reply_payload_offset + 4 + framing.trailer_bytes ||
         n % core::encryption_unit_bytes != 0) {
         return detail::fail_with_remainder(mem, acc, src, 0, counters);
     }
+    // aead: the clear trailer names the key; a stale epoch leaves nothing
+    // to decrypt, so checksum everything and report the skew.
+    const std::size_t body = n - framing.trailer_bytes;
+    if (!rx.open(wire.subspan(body, framing.trailer_bytes))) {
+        return detail::fail_with_remainder(mem, acc, src, 0, counters);
+    }
 
-    core::checksum_tap8 tap(acc);            // over the ciphertext...
-    core::decrypt_stage<Cipher> dec(cipher);  // ...then decrypt
+    core::checksum_tap8 tap(acc);  // over the ciphertext...
+    auto dec = rx.decryptor();     // ...then decrypt
     auto loop = core::make_pipeline(tap, dec);
     // The two-phase split at reply_header_region is itself a part cut; it
     // must land on a cipher-block boundary (analyzer rule R3).
@@ -142,80 +152,64 @@ tcp::rx_process_result receive_reply_ilp(const Mem& mem, const Cipher& cipher,
     detail::reply_header_staging staging;
     {
         ILP_OBS_SPAN("app", "receive_header_phase");
-        core::scatter_dest dst;
-        dst.add(staging.bytes(), core::segment_op::xdr_words);
-        loop.run(mem, src.slice(0, detail::reply_header_region), dst);
+        loop.run(mem, src.slice(0, detail::reply_header_region),
+                 staging.dest());
     }
     counters.fused_loop_bytes += detail::reply_header_region;
     counters.cipher_bytes += detail::reply_header_region;
 
-    const auto marshalled = rpc::validate_enc_header(staging.words[0], n);
     const rpc::reply_header header = staging.to_header();
-    if (!marshalled.has_value() ||
-        *marshalled < rpc::reply_payload_offset ||
-        header.msg_type != rpc::msg_type_reply) {
-        return detail::fail_with_remainder(
-            mem, acc, src, detail::reply_header_region, counters);
+    const std::optional<std::size_t> payload_bytes =
+        staging.payload_bytes(body);
+    if (!payload_bytes) {
+        return rx.fail_body(mem, loop, acc, src, detail::reply_header_region,
+                            counters);
     }
-    const std::size_t payload_bytes =
-        *marshalled - rpc::reply_payload_offset;
-    const std::span<std::byte> dest = resolve(header, payload_bytes);
-    if (dest.size() != payload_bytes) {
-        return detail::fail_with_remainder(
-            mem, acc, src, detail::reply_header_region, counters);
+    const std::span<std::byte> dest = resolve(header, *payload_bytes);
+    if (dest.size() != *payload_bytes) {
+        return rx.fail_body(mem, loop, acc, src, detail::reply_header_region,
+                            counters);
     }
 
-    // Phase 2: the opaque length word, the payload (straight into the
-    // application's buffer) and the discarded padding.
+    // Phase 2: the rest of the body, payload straight into the
+    // application's buffer.
     std::uint32_t opaque_len = 0;
     {
         ILP_OBS_SPAN("app", "receive_body_phase");
-        core::scatter_dest dst;
-        dst.add({reinterpret_cast<std::byte*>(&opaque_len), 4},
-                core::segment_op::xdr_words);
-        if (payload_bytes > 0) dst.add(dest);
-        const std::size_t pad = n - rpc::reply_payload_offset - payload_bytes;
-        if (pad > 0) dst.add_discard(pad);
         loop.run(mem,
                  src.slice(detail::reply_header_region,
-                           n - detail::reply_header_region),
-                 dst);
+                           body - detail::reply_header_region),
+                 detail::reply_body_dest(opaque_len, dest, body));
     }
-    const std::size_t body = n - detail::reply_header_region;
-    counters.fused_loop_bytes += body;
-    counters.cipher_bytes += body;
-    ++counters.messages;
-    counters.payload_bytes += payload_bytes;
+    counters.fused_loop_bytes += body - detail::reply_header_region;
+    counters.cipher_bytes += body - detail::reply_header_region;
 
-    if (out_header != nullptr) *out_header = header;
-    return {acc.folded(), opaque_len == payload_bytes};
+    // What follows the body (aead: the clear trailer) is read once, by the
+    // checksum; then the framing gives the verdict.
+    tcp::rx_process_result result =
+        detail::fail_with_remainder(mem, acc, src, body, counters);
+    result.ok = rx.verify() && rx.accept(opaque_len == *payload_bytes,
+                                         *payload_bytes, header, out_header,
+                                         counters);
+    return result;
 }
 
-// Contiguous overload (the staged-copy mode and all unit fixtures).
-template <memsim::memory_policy Mem, crypto::block_cipher Cipher,
+// Layered: checksum pass over the whole wire (trailer included), cipher
+// pass in place (aead: tag accumulated and verified right after), then the
+// unmarshal passes.
+template <memsim::memory_policy Mem, typename Keys,
           reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_ilp(const Mem& mem, const Cipher& cipher,
-                                         std::span<std::byte> wire,
-                                         Resolver&& resolve,
-                                         rpc::reply_header* out_header,
-                                         path_counters& counters) {
-    return receive_reply_ilp(mem, cipher, const_ring_span{wire, {}},
-                             std::forward<Resolver>(resolve), out_header,
-                             counters);
-}
-
-template <memsim::memory_policy Mem, crypto::block_cipher Cipher,
-          reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_layered(const Mem& mem,
-                                             const Cipher& cipher,
+tcp::rx_process_result receive_reply_layered(const Mem& mem, const Keys& keys,
                                              std::span<std::byte> wire,
                                              Resolver&& resolve,
                                              rpc::reply_header* out_header,
                                              path_counters& counters) {
+    const auto framing = as_framing(keys);
     const std::size_t n = wire.size();
     counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_layered");
+    ILP_OBS_SPAN("app", framing.receive_layered_span);
     checksum::inet_accumulator acc;
+    typename decltype(framing)::opener rx(framing);
 
     // Pass 1: checksum over the ciphertext.
     {
@@ -223,133 +217,131 @@ tcp::rx_process_result receive_reply_layered(const Mem& mem,
         core::checksum_pass(mem, acc, wire, 8);
     }
     counters.checksum_pass_bytes += n;
-    if (n < rpc::reply_payload_offset + 4 ||
+    if (n < rpc::reply_payload_offset + 4 + framing.trailer_bytes ||
         n % core::encryption_unit_bytes != 0) {
         return {acc.folded(), false};
     }
+    const std::size_t body = n - framing.trailer_bytes;
+    if (!rx.open(wire.subspan(body))) return {acc.folded(), false};
 
     // Pass 2: decrypt in place.
     {
         ILP_OBS_SPAN("app", "cipher_pass");
-        core::decrypt_stage<Cipher> dec(cipher);
-        core::apply_stage_in_place(mem, dec, wire);
+        auto dec = rx.decryptor();
+        core::apply_stage_in_place(mem, dec, wire.first(body));
     }
-    counters.cipher_pass_bytes += n;
-    counters.cipher_bytes += n;
+    counters.cipher_pass_bytes += body;
+    counters.cipher_bytes += body;
+    if (!rx.verify()) return {acc.folded(), false};
 
     // Pass 3: unmarshal + copy.  Headers first...
     detail::reply_header_staging staging;
     {
         ILP_OBS_SPAN("app", "unmarshal_pass");
-        core::scatter_dest dst;
-        dst.add(staging.bytes(), core::segment_op::xdr_words);
         core::unmarshal_from_buffer(
-            mem, wire.first(detail::reply_header_region), dst);
+            mem, wire.first(detail::reply_header_region), staging.dest());
     }
     counters.marshal_pass_bytes += detail::reply_header_region;
 
-    const auto marshalled = rpc::validate_enc_header(staging.words[0], n);
     const rpc::reply_header header = staging.to_header();
-    if (!marshalled.has_value() ||
-        *marshalled < rpc::reply_payload_offset ||
-        header.msg_type != rpc::msg_type_reply) {
-        return {acc.folded(), false};
-    }
-    const std::size_t payload_bytes =
-        *marshalled - rpc::reply_payload_offset;
-    const std::span<std::byte> dest = resolve(header, payload_bytes);
-    if (dest.size() != payload_bytes) return {acc.folded(), false};
+    const std::optional<std::size_t> payload_bytes =
+        staging.payload_bytes(body);
+    if (!payload_bytes) return {acc.folded(), false};
+    const std::span<std::byte> dest = resolve(header, *payload_bytes);
+    if (dest.size() != *payload_bytes) return {acc.folded(), false};
 
     // ...then the body.
     std::uint32_t opaque_len = 0;
     {
         ILP_OBS_SPAN("app", "unmarshal_pass");
-        core::scatter_dest dst;
-        dst.add({reinterpret_cast<std::byte*>(&opaque_len), 4},
-                core::segment_op::xdr_words);
-        if (payload_bytes > 0) dst.add(dest);
-        const std::size_t pad = n - rpc::reply_payload_offset - payload_bytes;
-        if (pad > 0) dst.add_discard(pad);
         core::unmarshal_from_buffer(
-            mem, wire.subspan(detail::reply_header_region), dst);
+            mem,
+            wire.subspan(detail::reply_header_region,
+                         body - detail::reply_header_region),
+            detail::reply_body_dest(opaque_len, dest, body));
     }
-    counters.marshal_pass_bytes += n - detail::reply_header_region;
-    ++counters.messages;
-    counters.payload_bytes += payload_bytes;
+    counters.marshal_pass_bytes += body - detail::reply_header_region;
+    return {acc.folded(), rx.accept(opaque_len == *payload_bytes,
+                                    *payload_bytes, header, out_header,
+                                    counters)};
+}
 
-    if (out_header != nullptr) *out_header = header;
-    return {acc.folded(), opaque_len == payload_bytes};
+// Mode dispatcher used by the application.  A read-only chain loan can only
+// reach the ILP path: the layered path decrypts in place, so the TCP layer
+// stages a counted copy for it and hands over a span instead.
+template <memsim::memory_policy Mem, typename Keys, typename Wire,
+          reply_dest_resolver Resolver>
+tcp::rx_process_result receive_reply(path_mode mode, const Mem& mem,
+                                     const Keys& keys, const Wire& wire,
+                                     Resolver&& resolve,
+                                     rpc::reply_header* out_header,
+                                     path_counters& counters) {
+    if constexpr (std::is_same_v<Wire, std::span<std::byte>>) {
+        if (mode == path_mode::layered) {
+            return receive_reply_layered(mem, keys, wire,
+                                         std::forward<Resolver>(resolve),
+                                         out_header, counters);
+        }
+    } else {
+        ILP_EXPECT(mode == path_mode::ilp);
+    }
+    return receive_reply_ilp(mem, keys, wire, std::forward<Resolver>(resolve),
+                             out_header, counters);
 }
 
 // ---------------------------------------------------------------------------
-// Request receive paths (server side; requests are small but still flow
+// Request receive path (server side; requests are small but still flow
 // through the full data-manipulation machinery)
 
-// Decrypts a request into `staging` and checksums it; the caller parses the
-// plaintext staging with rpc::unmarshal_request afterwards.  Returns the
-// checksum result; `*plain_len` receives the wire size.
-template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
+// Decrypts a request body into `staging` and checksums the whole wire; the
+// caller parses the plaintext staging with rpc::unmarshal_request
+// afterwards.  aead: requests travel under the flow's epoch-free control
+// key, so the trailer epoch is informational only.  The wire is a span
+// (staged copy, either mode) or a read-only chain loan (ILP only, see
+// receive_reply).
+template <memsim::memory_policy Mem, typename Keys, typename Wire>
 tcp::rx_process_result receive_request(path_mode mode, const Mem& mem,
-                                       const Cipher& cipher,
-                                       std::span<std::byte> wire,
+                                       const Keys& keys, const Wire& wire,
                                        std::span<std::byte> staging,
                                        path_counters& counters) {
-    const std::size_t n = wire.size();
+    const auto framing = as_framing(keys);
+    const const_ring_span chain = wire;
+    const std::size_t n = chain.size();
     counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_request");
+    ILP_OBS_SPAN("app", framing.receive_request_span);
     checksum::inet_accumulator acc;
-    if (n % core::encryption_unit_bytes != 0 || n > staging.size()) {
-        return detail::fail_with_remainder(mem, acc, wire, 0, counters);
+    typename decltype(framing)::opener rx(framing);
+    const core::gather_source src = core::chain_source(chain);
+    if (framing.runt_request(n) || n % core::encryption_unit_bytes != 0 ||
+        n - framing.trailer_bytes > staging.size()) {
+        return detail::fail_with_remainder(mem, acc, src, 0, counters);
     }
+    const std::size_t body = n - framing.trailer_bytes;
+    rx.open(chain.subspan(body, framing.trailer_bytes));
+    auto dec = rx.decryptor();
 
     if (mode == path_mode::ilp) {
         core::checksum_tap8 tap(acc);
-        core::decrypt_stage<Cipher> dec(cipher);
         auto loop = core::make_pipeline(tap, dec);
-        loop.run(mem, core::span_source(wire),
-                 core::span_dest(staging.first(n)));
-        counters.fused_loop_bytes += n;
+        loop.run(mem, src.slice(0, body), core::span_dest(staging.first(body)));
+        counters.fused_loop_bytes += body;
+    } else if constexpr (std::is_same_v<Wire, std::span<std::byte>>) {
+        core::checksum_pass(mem, acc, wire.first(body), 8);
+        counters.checksum_pass_bytes += body;
+        core::apply_stage_in_place(mem, dec, wire.first(body));
+        counters.cipher_pass_bytes += body;
+        core::copy_pass(mem, wire.first(body), staging.first(body));
+        counters.copy_pass_bytes += body;
     } else {
-        core::checksum_pass(mem, acc, wire, 8);
-        counters.checksum_pass_bytes += n;
-        core::decrypt_stage<Cipher> dec(cipher);
-        core::apply_stage_in_place(mem, dec, wire);
-        counters.cipher_pass_bytes += n;
-        core::copy_pass(mem, wire, staging.first(n));
-        counters.copy_pass_bytes += n;
+        ILP_EXPECT(false && "a read-only loan cannot be decrypted in place");
     }
-    counters.cipher_bytes += n;
-    ++counters.messages;
-    return {acc.folded(), true};
-}
+    counters.cipher_bytes += body;
 
-// Zero-copy (chain) form of the request receive.  ILP mode only: the
-// layered path decrypts the wire in place, which a read-only loan cannot
-// support, so the TCP layer stages a counted copy for it and calls the
-// span overload instead.
-template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
-tcp::rx_process_result receive_request(path_mode mode, const Mem& mem,
-                                       const Cipher& cipher,
-                                       const const_ring_span& wire,
-                                       std::span<std::byte> staging,
-                                       path_counters& counters) {
-    ILP_EXPECT(mode == path_mode::ilp);
-    const std::size_t n = wire.size();
-    counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_request");
-    checksum::inet_accumulator acc;
-    const core::gather_source src = core::chain_source(wire);
-    if (n % core::encryption_unit_bytes != 0 || n > staging.size()) {
-        return detail::fail_with_remainder(mem, acc, src, 0, counters);
-    }
-    core::checksum_tap8 tap(acc);
-    core::decrypt_stage<Cipher> dec(cipher);
-    auto loop = core::make_pipeline(tap, dec);
-    loop.run(mem, src, core::span_dest(staging.first(n)));
-    counters.fused_loop_bytes += n;
-    counters.cipher_bytes += n;
-    ++counters.messages;
-    return {acc.folded(), true};
+    tcp::rx_process_result result =
+        detail::fail_with_remainder(mem, acc, src, body, counters);
+    // A request has no reply header: the caller parses the staging.
+    result.ok = rx.verify() && rx.accept(true, 0, {}, nullptr, counters);
+    return result;
 }
 
 }  // namespace ilp::app

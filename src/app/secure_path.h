@@ -1,14 +1,24 @@
-// Secure (wire v3) data paths: AEAD framing over the ILP and layered paths.
+// Wire framing: the one compile-time policy of the data-path family.
 //
-// A secure message is the v2 wire image encrypted under the flow's current
-// epoch key, followed by an 8-byte clear trailer [epoch | tag]
-// (rpc::secure_trailer).  The tag is accumulated *inside* the same fused
-// loop that marshals, encrypts and checksums — authentication costs no
-// extra pass and no extra memory traffic, which is the modern re-run of the
-// paper's ILP claim.  The layered baselines pay the conventional
-// pass-per-layer price, tag included in the cipher pass.
+// send_path.h and receive_path.h hold one function per role and per
+// {ILP, layered}.  The type of their key argument selects one of the two
+// framing models below at compile time, so no framing branch ever enters a
+// per-byte loop:
 //
-// Receive side owns the failure taxonomy the robustness contract demands:
+//   plain  (wire v2) — no trailer; the key argument is a bare block cipher.
+//   aead   (wire v3) — the v2 wire image encrypted under the flow's current
+//                      epoch key, followed by an 8-byte clear trailer
+//                      [epoch | tag] (rpc::secure_trailer).  The tag is
+//                      accumulated *inside* the same fused loop that
+//                      marshals, encrypts and checksums — authentication
+//                      costs no extra pass and no extra memory traffic,
+//                      which is the modern re-run of the paper's ILP claim.
+//                      The layered baselines pay the conventional
+//                      pass-per-layer price, tag included in the cipher pass.
+//
+// Each model supplies a per-message `sealer` (send: cipher stage, trailer)
+// and `opener` (receive: key selection, cipher stage, verdict).  The aead
+// opener owns the failure taxonomy the robustness contract demands:
 //
 //   epoch_skew    — trailer epoch is *behind* the two-epoch key window
 //                   (stale beyond any legal retransmit); nothing decrypted.
@@ -22,8 +32,7 @@
 //                   adopted the epoch if it was ahead of the window.
 //
 // All failure paths still fold the complete TCP checksum (including the
-// clear trailer) so the transport can deliver its verdict, exactly like the
-// plain receive paths.
+// clear trailer) so the transport can deliver its verdict.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +41,11 @@
 #include <span>
 
 #include "app/path_mode.h"
-#include "app/receive_path.h"
-#include "app/send_path.h"
 #include "checksum/internet_checksum.h"
 #include "core/fused_pipeline.h"
-#include "core/layered_path.h"
 #include "core/stage.h"
 #include "crypto/aead.h"
 #include "crypto/kdf.h"
-#include "obs/tracer.h"
 #include "rpc/messages.h"
 #include "tcp/connection.h"
 
@@ -111,614 +116,269 @@ struct secure_flow_stats {
     std::uint64_t epoch_adoptions = 0;  // forward jumps committed
 };
 
-// ---------------------------------------------------------------------------
-// Secure send paths
-
-// The serial secure ILP send path's ring-direct fill: the fused
-// aead-encrypt+tag+checksum loop over one secure message plus its clear
-// [epoch | tag] trailer, writing straight into the reserved TCP ring span;
-// returns the folded checksum over body and trailer.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher>
-std::uint16_t fill_message_secure_ilp(const Mem& mem, const Cipher& cipher,
-                                      crypto::key_epoch epoch,
-                                      const core::gather_source& src,
-                                      const core::message_plan& plan,
-                                      const ring_span& dst) {
-    const std::size_t body_bytes = plan.total_bytes;
-    checksum::inet_accumulator acc;
-    crypto::aead_tag_accumulator tag;
-    core::aead_encrypt_stage<Cipher> encrypt(cipher, tag);
-    core::checksum_tap8 tap(acc);
-    auto loop = core::make_pipeline(encrypt, tap);
-    static_assert(!decltype(loop)::ordering_constrained,
-                  "out-of-order parts require unconstrained stages");
-    ILP_EXPECT(plan.well_formed() &&
-               plan.aligned_for(decltype(loop)::required_alignment));
-    const core::scatter_dest ring = core::ring_dest(dst);
-    for (const core::message_part& part : plan.ilp_order()) {
-        if (part.empty()) continue;
-        ILP_OBS_SPAN("core", "fused_part");
-        loop.run(mem, src.slice(part.offset, part.len),
-                 ring.slice(part.offset, part.len));
-    }
-    // Clear trailer: epoch + folded tag, still covered by the TCP
-    // checksum via the copy mini-loop's tap.
-    alignas(8) std::byte trailer[rpc::secure_trailer_bytes];
-    rpc::encode_secure_trailer({.key_epoch = epoch, .tag = tag.fold()},
-                               trailer);
-    core::opaque_stage copy;
-    core::checksum_tap8 trailer_tap(acc);
-    auto trailer_loop = core::make_pipeline(copy, trailer_tap);
-    trailer_loop.run(mem, core::span_source({trailer, sizeof trailer}),
-                     ring.slice(body_bytes, rpc::secure_trailer_bytes));
-    return acc.folded();
-}
-
-// ILP: one fused pass (aead encrypt+tag, checksum tap) over the message
-// parts in B,C,A order, then the 8-byte trailer staged locally and pushed
-// through a 2-stage mini-loop so the checksum tap covers it too.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher>
-bool send_message_secure_ilp(tcp::tcp_sender<Mem>& sender, const Mem& mem,
-                             const Cipher& cipher, crypto::key_epoch epoch,
-                             const core::gather_source& src,
-                             const core::message_plan& plan,
-                             path_counters& counters) {
-    const std::size_t body_bytes = plan.total_bytes;
-    const std::size_t wire_bytes = body_bytes + rpc::secure_trailer_bytes;
-    ILP_EXPECT(src.total_size() == body_bytes);
-    ILP_OBS_SPAN("app", "send_secure_ilp");
-    const bool sent = sender.send_message(
-        wire_bytes, [&](const ring_span& dst) -> std::optional<std::uint16_t> {
-            return fill_message_secure_ilp(mem, cipher, epoch, src, plan, dst);
-        });
-    if (!sent) return false;
-    ++counters.messages;
-    counters.wire_bytes += wire_bytes;
-    counters.fused_loop_bytes += wire_bytes;
-    counters.cipher_bytes += body_bytes;
-    return true;
-}
-
-// Layered baseline: marshal pass, aead pass (in place, tag accumulated),
-// trailer encode, then tcp_send's copy with the checksum left to tcp_output.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher>
-bool send_message_secure_layered(tcp::tcp_sender<Mem>& sender, const Mem& mem,
-                                 const Cipher& cipher, crypto::key_epoch epoch,
-                                 const core::gather_source& src,
-                                 const core::message_plan& plan,
-                                 send_workspace& workspace,
-                                 path_counters& counters) {
-    const std::size_t body_bytes = plan.total_bytes;
-    const std::size_t wire_bytes = body_bytes + rpc::secure_trailer_bytes;
-    ILP_EXPECT(src.total_size() == body_bytes);
-    if (wire_bytes > sender.sendable_bytes()) return false;
-    const std::span<std::byte> staging = workspace.staging(wire_bytes);
-    ILP_OBS_SPAN("app", "send_secure_layered");
-
-    {
-        ILP_OBS_SPAN("app", "marshal_pass");
-        core::marshal_to_buffer(mem, src, staging.first(body_bytes));
-    }
-    counters.marshal_pass_bytes += body_bytes;
-
-    crypto::aead_tag_accumulator tag;
-    {
-        ILP_OBS_SPAN("app", "cipher_pass");
-        core::aead_encrypt_stage<Cipher> encrypt(cipher, tag);
-        core::apply_stage_in_place(mem, encrypt, staging.first(body_bytes));
-    }
-    counters.cipher_pass_bytes += body_bytes;
-    counters.cipher_bytes += body_bytes;
-    rpc::encode_secure_trailer({.key_epoch = epoch, .tag = tag.fold()},
-                               staging.subspan(body_bytes));
-
-    const bool sent = sender.send_message(
-        wire_bytes, [&](const ring_span& dst) -> std::optional<std::uint16_t> {
-            ILP_OBS_SPAN("app", "tcp_send_copy");
-            mem.copy(dst.first.data(), staging.data(), dst.first.size());
-            if (!dst.second.empty()) {
-                mem.copy(dst.second.data(), staging.data() + dst.first.size(),
-                         dst.second.size());
-            }
-            return std::nullopt;
-        });
-    ILP_ENSURE(sent);  // sendable_bytes was checked above
-    counters.copy_pass_bytes += wire_bytes;
-    counters.checksum_pass_bytes += wire_bytes;
-    ++counters.messages;
-    counters.wire_bytes += wire_bytes;
-    return true;
-}
-
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher>
-bool send_message_secure(path_mode mode, tcp::tcp_sender<Mem>& sender,
-                         const Mem& mem, const Cipher& cipher,
-                         crypto::key_epoch epoch,
-                         const core::gather_source& src,
-                         const core::message_plan& plan,
-                         send_workspace& workspace, path_counters& counters) {
-    if (mode == path_mode::ilp) {
-        return send_message_secure_ilp(sender, mem, cipher, epoch, src, plan,
-                                       counters);
-    }
-    return send_message_secure_layered(sender, mem, cipher, epoch, src, plan,
-                                       workspace, counters);
-}
-
-// ---------------------------------------------------------------------------
-// Secure receive paths
-
 namespace detail {
 
-// Decodes the clear trailer from a (possibly two-piece) chain.  The flatten
-// is raw and uncounted, mirroring the contiguous path where
-// decode_secure_trailer reads the wire without going through the memory
-// policy; the *counted* trailer touches are the checksum ones below.
-inline rpc::secure_trailer decode_trailer_chain(const const_ring_span& t) {
-    alignas(8) std::byte tmp[rpc::secure_trailer_bytes];
-    ILP_EXPECT(t.size() == rpc::secure_trailer_bytes);
-    std::memcpy(tmp, t.first.data(), t.first.size());
-    if (!t.second.empty()) {
-        std::memcpy(tmp + t.first.size(), t.second.data(), t.second.size());
-    }
-    return rpc::decode_secure_trailer({tmp, rpc::secure_trailer_bytes});
-}
-
-// Counted checksum over a chain, segment by segment (parity-tracked, so any
-// split offset folds to the same sum as the contiguous pass).
+// Folds the wire's untouched remainder [from, end) into the accumulator
+// segment by segment (the accumulator's odd-parity tracking makes that
+// correct for any chain split) so TCP can still verdict a malformed
+// message, and reports failure.  The aead success path reuses it for the
+// clear trailer — the only bytes the fused loop does not read — and
+// overrides the verdict.
 template <memsim::memory_policy Mem>
-void checksum_chain(const Mem& mem, checksum::inet_accumulator& acc,
-                    const const_ring_span& data) {
-    acc.add_bytes(mem, data.first, 8);
-    if (!data.second.empty()) acc.add_bytes(mem, data.second, 8);
-}
-
-// A failure discovered after decryption started: finish decrypting the rest
-// of the body into a discard destination so the tag accumulator is complete,
-// checksum the clear trailer, and classify — a disagreeing tag means wrong
-// key / tampering (tag_mismatch) and outranks the structural complaint.
-template <memsim::memory_policy Mem, typename Loop>
-tcp::rx_process_result fail_secure_body(
-    const Mem& mem, Loop& loop, checksum::inet_accumulator& acc,
-    const crypto::aead_tag_accumulator& tag,
-    const rpc::secure_trailer& trailer, std::span<std::byte> wire,
-    std::size_t from, secure_rx_status* status, path_counters& counters) {
-    const std::size_t body = wire.size() - rpc::secure_trailer_bytes;
-    if (from < body) {
-        core::scatter_dest discard;
-        discard.add_discard(body - from);
-        loop.run(mem, core::span_source(wire.subspan(from, body - from)),
-                 discard);
-        counters.fused_loop_bytes += body - from;
-        counters.cipher_bytes += body - from;
-    }
-    core::checksum_pass(mem, acc, wire.subspan(body), 8);
-    counters.checksum_pass_bytes += rpc::secure_trailer_bytes;
-    if (status != nullptr) {
-        status->cause = tag.fold() == trailer.tag
-                            ? secure_rx_cause::malformed
-                            : secure_rx_cause::tag_mismatch;
-    }
-    return {acc.folded(), false};
-}
-
-// Gather-source form for the zero-copy chain path; single-segment sources
-// run the exact same accesses as the span form above.
-template <memsim::memory_policy Mem, typename Loop>
-tcp::rx_process_result fail_secure_body(
-    const Mem& mem, Loop& loop, checksum::inet_accumulator& acc,
-    const crypto::aead_tag_accumulator& tag,
-    const rpc::secure_trailer& trailer, const core::gather_source& wire,
-    std::size_t from, secure_rx_status* status, path_counters& counters) {
-    const std::size_t body = wire.total_size() - rpc::secure_trailer_bytes;
-    if (from < body) {
-        core::scatter_dest discard;
-        discard.add_discard(body - from);
-        loop.run(mem, wire.slice(from, body - from), discard);
-        counters.fused_loop_bytes += body - from;
-        counters.cipher_bytes += body - from;
-    }
+tcp::rx_process_result fail_with_remainder(const Mem& mem,
+                                           checksum::inet_accumulator& acc,
+                                           const core::gather_source& wire,
+                                           std::size_t from,
+                                           path_counters& counters) {
+    const std::size_t n = wire.total_size();
     // Named: segments() views the slice, which must outlive the loop.
-    const core::gather_source trailer_wire =
-        wire.slice(body, rpc::secure_trailer_bytes);
-    for (const core::gather_segment& s : trailer_wire.segments()) {
+    const core::gather_source rest = wire.slice(from, n - from);
+    for (const core::gather_segment& s : rest.segments()) {
         acc.add_bytes(mem, std::span<const std::byte>{s.data, s.len}, 8);
     }
-    counters.checksum_pass_bytes += rpc::secure_trailer_bytes;
-    if (status != nullptr) {
-        status->cause = tag.fold() == trailer.tag
-                            ? secure_rx_cause::malformed
-                            : secure_rx_cause::tag_mismatch;
-    }
+    counters.checksum_pass_bytes += n - from;
     return {acc.folded(), false};
 }
 
 }  // namespace detail
 
-// Selects the decryption key for `epoch` from the keychain: a window hit
-// uses the held cipher; an epoch *ahead* of the window is trial-derived into
-// `derived` (committed to the chain only after the tag verifies); an epoch
-// behind the window is an explicit epoch_skew.  Returns nullptr on skew.
-template <crypto::aead_capable Cipher>
-const Cipher* select_rx_cipher(crypto::keychain<Cipher>& chain,
-                               crypto::key_epoch epoch,
-                               std::optional<Cipher>& derived,
-                               secure_rx_status* status) {
-    if (status != nullptr) status->epoch = epoch;
-    if (const Cipher* held = chain.cipher_for(epoch)) {
-        if (status != nullptr && epoch != chain.current_epoch()) {
-            status->window_hit = true;
+// ---------------------------------------------------------------------------
+// plain: wire v2, no trailer
+
+template <crypto::block_cipher Cipher>
+struct plain_framing {
+    static constexpr std::size_t trailer_bytes = 0;
+    static constexpr const char* send_ilp_span = "send_ilp";
+    static constexpr const char* send_layered_span = "send_layered";
+    static constexpr const char* receive_ilp_span = "receive_ilp";
+    static constexpr const char* receive_layered_span = "receive_layered";
+    static constexpr const char* receive_request_span = "receive_request";
+
+    const Cipher* cipher;
+
+    // An empty v2 request passes through to the parser, which rejects it.
+    static constexpr bool runt_request(std::size_t) noexcept { return false; }
+
+    struct sealer {
+        explicit sealer(const plain_framing& f) : stage(*f.cipher) {}
+
+        // No trailer to write, on either path.
+        template <memsim::memory_policy Mem>
+        void seal(const Mem&, checksum::inet_accumulator&,
+                  const core::scatter_dest&, std::size_t) const {}
+        void seal(std::span<std::byte>) const {}
+
+        core::encrypt_stage<Cipher> stage;
+    };
+
+    struct opener {
+        explicit opener(const plain_framing& f) : cipher(f.cipher) {}
+
+        bool open(const const_ring_span&) const noexcept { return true; }
+        core::decrypt_stage<Cipher> decryptor() const {
+            return core::decrypt_stage<Cipher>(*cipher);
         }
-        return held;
-    }
-    if (epoch > chain.current_epoch()) {
-        derived.emplace(
-            crypto::derive_epoch_cipher<Cipher>(chain.secret(), epoch));
-        return &*derived;
-    }
-    if (status != nullptr) status->cause = secure_rx_cause::epoch_skew;
-    return nullptr;
-}
 
-// ILP secure reply receive: trailer decoded first (clear), body streamed
-// through the fused tap+aead-decrypt loop in the same two-phase shape as
-// receive_reply_ilp, tag compared at the end.  Adopts forward epochs into
-// the keychain only after the tag verifies.
-//
-// Primary (zero-copy) form over a loaned kernel-segment chain.  The clear
-// trailer is what makes this possible under rule R2: every header and
-// trailer size is known *before* the fused loop starts, straight off the
-// loan, so the loop can stream the ciphertext in place with no reassembly.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher,
-          reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_secure_ilp(
-    const Mem& mem, crypto::keychain<Cipher>& chain,
-    const const_ring_span& wire, Resolver&& resolve,
-    rpc::reply_header* out_header, secure_rx_status* status,
-    path_counters& counters) {
-    const std::size_t n = wire.size();
-    counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_secure_ilp");
-    checksum::inet_accumulator acc;
-    if (status != nullptr) *status = {};
-    const core::gather_source src = core::chain_source(wire);
-    if (n < rpc::reply_payload_offset + 4 + rpc::secure_trailer_bytes ||
-        n % core::encryption_unit_bytes != 0) {
-        return detail::fail_with_remainder(mem, acc, src, 0, counters);
-    }
-    const std::size_t body = n - rpc::secure_trailer_bytes;
-    const rpc::secure_trailer trailer = detail::decode_trailer_chain(
-        wire.subspan(body, rpc::secure_trailer_bytes));
+        // A bad header: checksum whatever the loop has not read yet.
+        template <memsim::memory_policy Mem, typename Loop>
+        tcp::rx_process_result fail_body(const Mem& mem, Loop&,
+                                         checksum::inet_accumulator& acc,
+                                         const core::gather_source& wire,
+                                         std::size_t from,
+                                         path_counters& counters) const {
+            return detail::fail_with_remainder(mem, acc, wire, from, counters);
+        }
 
-    std::optional<Cipher> derived;
-    const Cipher* cipher =
-        select_rx_cipher(chain, trailer.key_epoch, derived, status);
-    if (cipher == nullptr) {
-        // Stale epoch: nothing we can decrypt; checksum everything so TCP
-        // can verdict, and report the skew explicitly.
-        return detail::fail_with_remainder(mem, acc, src, 0, counters);
-    }
+        bool verify() const noexcept { return true; }
 
-    crypto::aead_tag_accumulator tag;
-    core::checksum_tap8 tap(acc);
-    core::aead_decrypt_stage<Cipher> dec(*cipher, tag);
-    auto loop = core::make_pipeline(tap, dec);
-    static_assert(detail::reply_header_region %
-                          decltype(loop)::required_alignment ==
-                      0,
-                  "header phase must end on a fused-unit boundary");
+        // v2 counts the message before the opaque-length check.
+        bool accept(bool well_formed, std::size_t payload_bytes,
+                    const rpc::reply_header& header,
+                    rpc::reply_header* out_header,
+                    path_counters& counters) const {
+            ++counters.messages;
+            counters.payload_bytes += payload_bytes;
+            if (out_header != nullptr) *out_header = header;
+            return well_formed;
+        }
 
-    detail::reply_header_staging staging;
-    {
-        ILP_OBS_SPAN("app", "receive_header_phase");
-        core::scatter_dest dst;
-        dst.add(staging.bytes(), core::segment_op::xdr_words);
-        loop.run(mem, src.slice(0, detail::reply_header_region), dst);
-    }
-    counters.fused_loop_bytes += detail::reply_header_region;
-    counters.cipher_bytes += detail::reply_header_region;
+        const Cipher* cipher;
+    };
+};
 
-    const auto marshalled = rpc::validate_enc_header(staging.words[0], body);
-    const rpc::reply_header header = staging.to_header();
-    if (!marshalled.has_value() || *marshalled < rpc::reply_payload_offset ||
-        header.msg_type != rpc::msg_type_reply) {
-        return detail::fail_secure_body(mem, loop, acc, tag, trailer, src,
-                                        detail::reply_header_region, status,
-                                        counters);
-    }
-    const std::size_t payload_bytes = *marshalled - rpc::reply_payload_offset;
-    const std::span<std::byte> dest = resolve(header, payload_bytes);
-    if (dest.size() != payload_bytes) {
-        return detail::fail_secure_body(mem, loop, acc, tag, trailer, src,
-                                        detail::reply_header_region, status,
-                                        counters);
+// ---------------------------------------------------------------------------
+// aead: wire v3, [epoch | tag] trailer
+
+// One object serves both ends of a direction: the sender reads `key` and
+// `epoch`; the receiver reads `window` (the reply direction's two-epoch key
+// window) or, without one, the fixed `key` (the request direction's
+// epoch-free control key, whose trailer epoch is informational only).
+template <crypto::aead_capable Cipher>
+struct aead_framing {
+    static constexpr std::size_t trailer_bytes = rpc::secure_trailer_bytes;
+    static constexpr const char* send_ilp_span = "send_secure_ilp";
+    static constexpr const char* send_layered_span = "send_secure_layered";
+    static constexpr const char* receive_ilp_span = "receive_secure_ilp";
+    static constexpr const char* receive_layered_span =
+        "receive_secure_layered";
+    static constexpr const char* receive_request_span =
+        "receive_request_secure";
+
+    const Cipher* key = nullptr;
+    crypto::key_epoch epoch = 0;  // the epoch a sent trailer names
+    crypto::keychain<Cipher>* window = nullptr;
+    secure_rx_status* status = nullptr;  // receive verdict, if wanted
+
+    // A request must carry at least one body unit besides its trailer.
+    static constexpr bool runt_request(std::size_t n) noexcept {
+        return n <= trailer_bytes;
     }
 
-    std::uint32_t opaque_len = 0;
-    {
-        ILP_OBS_SPAN("app", "receive_body_phase");
-        core::scatter_dest dst;
-        dst.add({reinterpret_cast<std::byte*>(&opaque_len), 4},
-                core::segment_op::xdr_words);
-        if (payload_bytes > 0) dst.add(dest);
-        const std::size_t pad =
-            body - rpc::reply_payload_offset - payload_bytes;
-        if (pad > 0) dst.add_discard(pad);
-        loop.run(mem,
-                 src.slice(detail::reply_header_region,
-                           body - detail::reply_header_region),
-                 dst);
-    }
-    counters.fused_loop_bytes += body - detail::reply_header_region;
-    counters.cipher_bytes += body - detail::reply_header_region;
-    detail::checksum_chain(mem, acc,
-                           wire.subspan(body, rpc::secure_trailer_bytes));
-    counters.checksum_pass_bytes += rpc::secure_trailer_bytes;
+    struct sealer {
+        explicit sealer(const aead_framing& f)
+            : stage(*f.key, tag), epoch(f.epoch) {}
+        sealer(const sealer&) = delete;
+        sealer& operator=(const sealer&) = delete;
 
-    if (tag.fold() != trailer.tag) {
-        if (status != nullptr) status->cause = secure_rx_cause::tag_mismatch;
-        return {acc.folded(), false};
-    }
-    if (opaque_len != payload_bytes) {
-        return {acc.folded(), false};  // malformed (tag ok, structure bad)
-    }
-    if (status != nullptr) {
-        status->cause = secure_rx_cause::ok;
-        status->adopted = chain.adopt(trailer.key_epoch);
+        // ILP: the trailer is staged locally and pushed through a 2-stage
+        // copy mini-loop, so the checksum tap covers it and each ring byte
+        // is written exactly once.
+        template <memsim::memory_policy Mem>
+        void seal(const Mem& mem, checksum::inet_accumulator& acc,
+                  const core::scatter_dest& ring, std::size_t body) const {
+            alignas(8) std::byte trailer[trailer_bytes];
+            seal(trailer);
+            core::opaque_stage copy;
+            core::checksum_tap8 tap(acc);
+            auto loop = core::make_pipeline(copy, tap);
+            loop.run(mem, core::span_source({trailer, sizeof trailer}),
+                     ring.slice(body, trailer_bytes));
+        }
+        // Layered: encoded in the staging buffer, copied with the body.
+        void seal(std::span<std::byte> trailer) const {
+            rpc::encode_secure_trailer({.key_epoch = epoch, .tag = tag.fold()},
+                                       trailer);
+        }
+
+        crypto::aead_tag_accumulator tag;  // declared before `stage`
+        core::aead_encrypt_stage<Cipher> stage;
+        crypto::key_epoch epoch;
+    };
+
+    class opener {
+    public:
+        explicit opener(const aead_framing& f)
+            : f_(f), status_(f.status != nullptr ? f.status : &unreported_) {
+            *status_ = {};
+        }
+        opener(const opener&) = delete;
+        opener& operator=(const opener&) = delete;
+
+        // Decodes the clear trailer — known before the loop starts, straight
+        // off the loan (rule R2) — and selects the key.  The flatten is raw
+        // and uncounted, like any header parse; the *counted* trailer
+        // touches are the checksum ones.  False on epoch_skew.
+        bool open(const const_ring_span& t) {
+            alignas(8) std::byte tmp[trailer_bytes];
+            ILP_EXPECT(t.size() == trailer_bytes);
+            std::memcpy(tmp, t.first.data(), t.first.size());
+            if (!t.second.empty()) {
+                std::memcpy(tmp + t.first.size(), t.second.data(),
+                            t.second.size());
+            }
+            trailer_ = rpc::decode_secure_trailer({tmp, trailer_bytes});
+            const crypto::key_epoch epoch = trailer_.key_epoch;
+            status_->epoch = epoch;
+            crypto::keychain<Cipher>* const window = f_.window;
+            if (window == nullptr) {
+                cipher_ = f_.key;  // the fixed (request) key
+            } else if ((cipher_ = window->cipher_for(epoch)) != nullptr) {
+                status_->window_hit = epoch != window->current_epoch();
+            } else if (epoch > window->current_epoch()) {
+                // Ahead of the window: trial-derive; accept() commits the
+                // epoch to the chain only after the tag verifies.
+                cipher_ = &derived_.emplace(crypto::derive_epoch_cipher<Cipher>(
+                    window->secret(), epoch));
+            } else {
+                // Behind the window: stale beyond any legal retransmit.
+                status_->cause = secure_rx_cause::epoch_skew;
+            }
+            return cipher_ != nullptr;
+        }
+
+        core::aead_decrypt_stage<Cipher> decryptor() {
+            return core::aead_decrypt_stage<Cipher>(*cipher_, tag_);
+        }
+
+        // A failure discovered after decryption started: finish decrypting
+        // the rest of the body into a discard destination so the tag is
+        // complete, checksum the clear trailer, and classify — a
+        // disagreeing tag means wrong key / tampering (tag_mismatch) and
+        // outranks the structural complaint.
+        template <memsim::memory_policy Mem, typename Loop>
+        tcp::rx_process_result fail_body(const Mem& mem, Loop& loop,
+                                         checksum::inet_accumulator& acc,
+                                         const core::gather_source& wire,
+                                         std::size_t from,
+                                         path_counters& counters) {
+            const std::size_t body = wire.total_size() - trailer_bytes;
+            if (from < body) {
+                core::scatter_dest discard;
+                discard.add_discard(body - from);
+                loop.run(mem, wire.slice(from, body - from), discard);
+                counters.fused_loop_bytes += body - from;
+                counters.cipher_bytes += body - from;
+            }
+            const tcp::rx_process_result result =
+                detail::fail_with_remainder(mem, acc, wire, body, counters);
+            status_->cause = tag_.fold() == trailer_.tag
+                                 ? secure_rx_cause::malformed
+                                 : secure_rx_cause::tag_mismatch;
+            return result;
+        }
+
+        bool verify() {
+            if (tag_.fold() == trailer_.tag) return true;
+            status_->cause = secure_rx_cause::tag_mismatch;
+            return false;
+        }
+
+        // Tag already verified.  A structural failure stays `malformed`;
+        // otherwise the reply window adopts a forward epoch, and only then
+        // is the message counted.
+        bool accept(bool well_formed, std::size_t payload_bytes,
+                    const rpc::reply_header& header,
+                    rpc::reply_header* out_header, path_counters& counters) {
+            if (!well_formed) return false;
+            status_->cause = secure_rx_cause::ok;
+            status_->adopted =
+                f_.window != nullptr && f_.window->adopt(trailer_.key_epoch);
+            ++counters.messages;
+            counters.payload_bytes += payload_bytes;
+            if (out_header != nullptr) *out_header = header;
+            return true;
+        }
+
+    private:
+        aead_framing f_;
+        secure_rx_status unreported_;
+        secure_rx_status* status_;
+        rpc::secure_trailer trailer_{};
+        std::optional<Cipher> derived_;
+        const Cipher* cipher_ = nullptr;
+        crypto::aead_tag_accumulator tag_;
+    };
+};
+
+// The framing a key argument selects: a bare block cipher is the plain
+// model; a framing object (plain_framing / aead_framing) is itself.
+template <typename Keys>
+auto as_framing(const Keys& keys) {
+    if constexpr (crypto::block_cipher<Keys>) {
+        return plain_framing<Keys>{&keys};
     } else {
-        chain.adopt(trailer.key_epoch);
+        return keys;
     }
-    ++counters.messages;
-    counters.payload_bytes += payload_bytes;
-    if (out_header != nullptr) *out_header = header;
-    return {acc.folded(), true};
-}
-
-// Contiguous overload (the staged-copy mode and all unit fixtures):
-// delegates with a single-piece chain, so it runs the identical access
-// sequence it always has.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher,
-          reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_secure_ilp(
-    const Mem& mem, crypto::keychain<Cipher>& chain,
-    std::span<std::byte> wire, Resolver&& resolve,
-    rpc::reply_header* out_header, secure_rx_status* status,
-    path_counters& counters) {
-    return receive_reply_secure_ilp(mem, chain, const_ring_span{wire, {}},
-                                    std::forward<Resolver>(resolve),
-                                    out_header, status, counters);
-}
-
-// Layered secure reply receive: checksum pass (body + trailer), aead pass in
-// place, unmarshal passes — the conventional stack with authentication
-// folded into the cipher pass.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher,
-          reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_secure_layered(
-    const Mem& mem, crypto::keychain<Cipher>& chain,
-    std::span<std::byte> wire, Resolver&& resolve,
-    rpc::reply_header* out_header, secure_rx_status* status,
-    path_counters& counters) {
-    const std::size_t n = wire.size();
-    counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_secure_layered");
-    checksum::inet_accumulator acc;
-    if (status != nullptr) *status = {};
-
-    {
-        ILP_OBS_SPAN("app", "checksum_pass");
-        core::checksum_pass(mem, acc, wire, 8);
-    }
-    counters.checksum_pass_bytes += n;
-    if (n < rpc::reply_payload_offset + 4 + rpc::secure_trailer_bytes ||
-        n % core::encryption_unit_bytes != 0) {
-        return {acc.folded(), false};
-    }
-    const std::size_t body = n - rpc::secure_trailer_bytes;
-    const rpc::secure_trailer trailer =
-        rpc::decode_secure_trailer(wire.subspan(body));
-
-    std::optional<Cipher> derived;
-    const Cipher* cipher =
-        select_rx_cipher(chain, trailer.key_epoch, derived, status);
-    if (cipher == nullptr) return {acc.folded(), false};
-
-    crypto::aead_tag_accumulator tag;
-    {
-        ILP_OBS_SPAN("app", "cipher_pass");
-        core::aead_decrypt_stage<Cipher> dec(*cipher, tag);
-        core::apply_stage_in_place(mem, dec, wire.first(body));
-    }
-    counters.cipher_pass_bytes += body;
-    counters.cipher_bytes += body;
-
-    if (tag.fold() != trailer.tag) {
-        if (status != nullptr) status->cause = secure_rx_cause::tag_mismatch;
-        return {acc.folded(), false};
-    }
-
-    detail::reply_header_staging staging;
-    {
-        ILP_OBS_SPAN("app", "unmarshal_pass");
-        core::scatter_dest dst;
-        dst.add(staging.bytes(), core::segment_op::xdr_words);
-        core::unmarshal_from_buffer(
-            mem, wire.first(detail::reply_header_region), dst);
-    }
-    counters.marshal_pass_bytes += detail::reply_header_region;
-
-    const auto marshalled = rpc::validate_enc_header(staging.words[0], body);
-    const rpc::reply_header header = staging.to_header();
-    if (!marshalled.has_value() || *marshalled < rpc::reply_payload_offset ||
-        header.msg_type != rpc::msg_type_reply) {
-        return {acc.folded(), false};
-    }
-    const std::size_t payload_bytes = *marshalled - rpc::reply_payload_offset;
-    const std::span<std::byte> dest = resolve(header, payload_bytes);
-    if (dest.size() != payload_bytes) return {acc.folded(), false};
-
-    std::uint32_t opaque_len = 0;
-    {
-        ILP_OBS_SPAN("app", "unmarshal_pass");
-        core::scatter_dest dst;
-        dst.add({reinterpret_cast<std::byte*>(&opaque_len), 4},
-                core::segment_op::xdr_words);
-        if (payload_bytes > 0) dst.add(dest);
-        const std::size_t pad =
-            body - rpc::reply_payload_offset - payload_bytes;
-        if (pad > 0) dst.add_discard(pad);
-        core::unmarshal_from_buffer(
-            mem,
-            wire.subspan(detail::reply_header_region,
-                         body - detail::reply_header_region),
-            dst);
-    }
-    counters.marshal_pass_bytes += body - detail::reply_header_region;
-    if (opaque_len != payload_bytes) return {acc.folded(), false};
-
-    if (status != nullptr) {
-        status->cause = secure_rx_cause::ok;
-        status->adopted = chain.adopt(trailer.key_epoch);
-    } else {
-        chain.adopt(trailer.key_epoch);
-    }
-    ++counters.messages;
-    counters.payload_bytes += payload_bytes;
-    if (out_header != nullptr) *out_header = header;
-    return {acc.folded(), true};
-}
-
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher,
-          reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_secure(
-    path_mode mode, const Mem& mem, crypto::keychain<Cipher>& chain,
-    std::span<std::byte> wire, Resolver&& resolve,
-    rpc::reply_header* out_header, secure_rx_status* status,
-    path_counters& counters) {
-    if (mode == path_mode::ilp) {
-        return receive_reply_secure_ilp(mem, chain, wire,
-                                        std::forward<Resolver>(resolve),
-                                        out_header, status, counters);
-    }
-    return receive_reply_secure_layered(mem, chain, wire,
-                                        std::forward<Resolver>(resolve),
-                                        out_header, status, counters);
-}
-
-// Chain dispatcher: only the ILP path can consume a read-only loan (the
-// layered path decrypts in place), so the TCP layer routes chains here only
-// when a chain processor is installed — i.e. in ILP mode.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher,
-          reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_secure(
-    path_mode mode, const Mem& mem, crypto::keychain<Cipher>& chain,
-    const const_ring_span& wire, Resolver&& resolve,
-    rpc::reply_header* out_header, secure_rx_status* status,
-    path_counters& counters) {
-    ILP_EXPECT(mode == path_mode::ilp);
-    return receive_reply_secure_ilp(mem, chain, wire,
-                                    std::forward<Resolver>(resolve),
-                                    out_header, status, counters);
-}
-
-// Secure request receive (server side): requests travel under the flow's
-// epoch-free *control* key, so the trailer epoch is informational only.
-// Decrypts the body into `staging` (the caller parses it with
-// rpc::unmarshal_request), verifies the tag, reports the cause.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher>
-tcp::rx_process_result receive_request_secure(
-    path_mode mode, const Mem& mem, const Cipher& control_cipher,
-    std::span<std::byte> wire, std::span<std::byte> staging,
-    secure_rx_status* status, path_counters& counters) {
-    const std::size_t n = wire.size();
-    counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_request_secure");
-    checksum::inet_accumulator acc;
-    if (status != nullptr) *status = {};
-    if (n <= rpc::secure_trailer_bytes ||
-        n % core::encryption_unit_bytes != 0 ||
-        n - rpc::secure_trailer_bytes > staging.size()) {
-        return detail::fail_with_remainder(mem, acc, wire, 0, counters);
-    }
-    const std::size_t body = n - rpc::secure_trailer_bytes;
-    const rpc::secure_trailer trailer =
-        rpc::decode_secure_trailer(wire.subspan(body));
-    if (status != nullptr) status->epoch = trailer.key_epoch;
-
-    crypto::aead_tag_accumulator tag;
-    if (mode == path_mode::ilp) {
-        core::checksum_tap8 tap(acc);
-        core::aead_decrypt_stage<Cipher> dec(control_cipher, tag);
-        auto loop = core::make_pipeline(tap, dec);
-        loop.run(mem, core::span_source(wire.first(body)),
-                 core::span_dest(staging.first(body)));
-        counters.fused_loop_bytes += body;
-    } else {
-        core::checksum_pass(mem, acc, wire.first(body), 8);
-        counters.checksum_pass_bytes += body;
-        core::aead_decrypt_stage<Cipher> dec(control_cipher, tag);
-        core::apply_stage_in_place(mem, dec, wire.first(body));
-        counters.cipher_pass_bytes += body;
-        core::copy_pass(mem, wire.first(body), staging.first(body));
-        counters.copy_pass_bytes += body;
-    }
-    counters.cipher_bytes += body;
-    core::checksum_pass(mem, acc, wire.subspan(body), 8);
-    counters.checksum_pass_bytes += rpc::secure_trailer_bytes;
-
-    if (tag.fold() != trailer.tag) {
-        if (status != nullptr) status->cause = secure_rx_cause::tag_mismatch;
-        return {acc.folded(), false};
-    }
-    if (status != nullptr) status->cause = secure_rx_cause::ok;
-    ++counters.messages;
-    return {acc.folded(), true};
-}
-
-// Zero-copy (chain) form of the secure request receive, ILP mode only (see
-// the plain-path chain overload for the rationale): trailer decoded off the
-// loan first (R2), body fused-decrypted straight out of the chain into the
-// parse staging, trailer checksummed in place.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher>
-tcp::rx_process_result receive_request_secure(
-    path_mode mode, const Mem& mem, const Cipher& control_cipher,
-    const const_ring_span& wire, std::span<std::byte> staging,
-    secure_rx_status* status, path_counters& counters) {
-    ILP_EXPECT(mode == path_mode::ilp);
-    const std::size_t n = wire.size();
-    counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_request_secure");
-    checksum::inet_accumulator acc;
-    if (status != nullptr) *status = {};
-    const core::gather_source src = core::chain_source(wire);
-    if (n <= rpc::secure_trailer_bytes ||
-        n % core::encryption_unit_bytes != 0 ||
-        n - rpc::secure_trailer_bytes > staging.size()) {
-        return detail::fail_with_remainder(mem, acc, src, 0, counters);
-    }
-    const std::size_t body = n - rpc::secure_trailer_bytes;
-    const rpc::secure_trailer trailer = detail::decode_trailer_chain(
-        wire.subspan(body, rpc::secure_trailer_bytes));
-    if (status != nullptr) status->epoch = trailer.key_epoch;
-
-    crypto::aead_tag_accumulator tag;
-    core::checksum_tap8 tap(acc);
-    core::aead_decrypt_stage<Cipher> dec(control_cipher, tag);
-    auto loop = core::make_pipeline(tap, dec);
-    loop.run(mem, src.slice(0, body), core::span_dest(staging.first(body)));
-    counters.fused_loop_bytes += body;
-    counters.cipher_bytes += body;
-    detail::checksum_chain(mem, acc,
-                           wire.subspan(body, rpc::secure_trailer_bytes));
-    counters.checksum_pass_bytes += rpc::secure_trailer_bytes;
-
-    if (tag.fold() != trailer.tag) {
-        if (status != nullptr) status->cause = secure_rx_cause::tag_mismatch;
-        return {acc.folded(), false};
-    }
-    if (status != nullptr) status->cause = secure_rx_cause::ok;
-    ++counters.messages;
-    return {acc.folded(), true};
 }
 
 }  // namespace ilp::app

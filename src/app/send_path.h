@@ -2,7 +2,9 @@
 //
 // Both paths take a `gather_source` describing the complete unencrypted wire
 // image of one message (headers already staged in XDR form, payload,
-// generated padding) and hand the encrypted bytes to a tcp_sender.
+// generated padding) and hand the encrypted bytes to a tcp_sender.  The key
+// argument selects the wire framing (secure_path.h): a bare block cipher
+// sends wire v2; an aead_framing appends the v3 [epoch | tag] trailer.
 //
 //   ILP:      marshal + encrypt + checksum fused into the single copy from
 //             application memory to the TCP ring, processing message parts
@@ -20,6 +22,7 @@
 #include <optional>
 
 #include "app/path_mode.h"
+#include "app/secure_path.h"
 #include "buffer/byte_buffer.h"
 #include "checksum/internet_checksum.h"
 #include "core/fused_pipeline.h"
@@ -51,17 +54,19 @@ private:
 
 // The serial ILP send path's ring-direct fill: the fused
 // marshal+encrypt+checksum loop over one message, writing straight into the
-// reserved TCP ring span in B,C,A part order; returns the folded payload
+// reserved TCP ring span in B,C,A part order, then the framing's trailer
+// (aead: the clear [epoch | tag], tap-checksummed); returns the folded
 // checksum.  The native benchmark (perfbench) probes this loop on its own.
-template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
-std::uint16_t fill_message_ilp(const Mem& mem, const Cipher& cipher,
+template <memsim::memory_policy Mem, typename Keys>
+std::uint16_t fill_message_ilp(const Mem& mem, const Keys& keys,
                                const core::gather_source& src,
                                const core::message_plan& plan,
                                const ring_span& dst) {
+    const auto framing = as_framing(keys);
     checksum::inet_accumulator acc;
-    core::encrypt_stage<Cipher> encrypt(cipher);
+    typename decltype(framing)::sealer tx(framing);
     core::checksum_tap8 tap(acc);
-    auto loop = core::make_pipeline(encrypt, tap);
+    auto loop = core::make_pipeline(tx.stage, tap);
     static_assert(!decltype(loop)::ordering_constrained,
                   "out-of-order parts require unconstrained stages");
     // Construction-time fusion-legality guard (analyzer rule R3): every
@@ -76,6 +81,7 @@ std::uint16_t fill_message_ilp(const Mem& mem, const Cipher& cipher,
         loop.run(mem, src.slice(part.offset, part.len),
                  ring.slice(part.offset, part.len));
     }
+    tx.seal(mem, acc, ring, plan.total_bytes);
     return acc.folded();
 }
 
@@ -84,58 +90,64 @@ std::uint16_t fill_message_ilp(const Mem& mem, const Cipher& cipher,
 // the whole message fits ("we decided to perform all data manipulations
 // within a single loop and to delay all manipulations until they are all
 // possible").
-template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
+template <memsim::memory_policy Mem, typename Keys>
 bool send_message_ilp(tcp::tcp_sender<Mem>& sender, const Mem& mem,
-                      const Cipher& cipher, const core::gather_source& src,
+                      const Keys& keys, const core::gather_source& src,
                       const core::message_plan& plan,
                       path_counters& counters) {
-    const std::size_t wire_bytes = plan.total_bytes;
-    ILP_EXPECT(src.total_size() == wire_bytes);
-    ILP_OBS_SPAN("app", "send_ilp");
+    const auto framing = as_framing(keys);
+    const std::size_t body_bytes = plan.total_bytes;
+    const std::size_t wire_bytes = body_bytes + framing.trailer_bytes;
+    ILP_EXPECT(src.total_size() == body_bytes);
+    ILP_OBS_SPAN("app", framing.send_ilp_span);
     const bool sent = sender.send_message(
         wire_bytes, [&](const ring_span& dst) -> std::optional<std::uint16_t> {
-            return fill_message_ilp(mem, cipher, src, plan, dst);
+            return fill_message_ilp(mem, keys, src, plan, dst);
         });
     if (!sent) return false;
     ++counters.messages;
     counters.wire_bytes += wire_bytes;
     counters.fused_loop_bytes += wire_bytes;
-    counters.cipher_bytes += wire_bytes;
+    counters.cipher_bytes += body_bytes;
     return true;
 }
 
 // Conventional layered send path.
-template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
+template <memsim::memory_policy Mem, typename Keys>
 bool send_message_layered(tcp::tcp_sender<Mem>& sender, const Mem& mem,
-                          const Cipher& cipher, const core::gather_source& src,
+                          const Keys& keys, const core::gather_source& src,
                           const core::message_plan& plan,
                           send_workspace& workspace,
                           path_counters& counters) {
-    const std::size_t wire_bytes = plan.total_bytes;
-    ILP_EXPECT(src.total_size() == wire_bytes);
+    const auto framing = as_framing(keys);
+    const std::size_t body_bytes = plan.total_bytes;
+    const std::size_t wire_bytes = body_bytes + framing.trailer_bytes;
+    ILP_EXPECT(src.total_size() == body_bytes);
     if (wire_bytes > sender.sendable_bytes()) {
         // Check before manipulating: a full buffer must not waste the
         // marshalling/encryption work.
         return false;
     }
     const std::span<std::byte> staging = workspace.staging(wire_bytes);
-    ILP_OBS_SPAN("app", "send_layered");
+    ILP_OBS_SPAN("app", framing.send_layered_span);
 
     // Pass 1: marshalling (application data -> intermediate packet).
     {
         ILP_OBS_SPAN("app", "marshal_pass");
-        core::marshal_to_buffer(mem, src, staging);
+        core::marshal_to_buffer(mem, src, staging.first(body_bytes));
     }
-    counters.marshal_pass_bytes += wire_bytes;
+    counters.marshal_pass_bytes += body_bytes;
 
-    // Pass 2: encryption, in place.
+    // Pass 2: encryption, in place (aead: tag accumulated), then the
+    // framing's trailer behind the body.
+    typename decltype(framing)::sealer tx(framing);
     {
         ILP_OBS_SPAN("app", "cipher_pass");
-        core::encrypt_stage<Cipher> encrypt(cipher);
-        core::apply_stage_in_place(mem, encrypt, staging);
+        core::apply_stage_in_place(mem, tx.stage, staging.first(body_bytes));
     }
-    counters.cipher_pass_bytes += wire_bytes;
-    counters.cipher_bytes += wire_bytes;
+    counters.cipher_pass_bytes += body_bytes;
+    counters.cipher_bytes += body_bytes;
+    tx.seal(staging.subspan(body_bytes));
 
     // Pass 3: tcp_send's copy into the ring; pass 4 (checksum) happens in
     // tcp_output because the filler returns nullopt.
@@ -158,15 +170,15 @@ bool send_message_layered(tcp::tcp_sender<Mem>& sender, const Mem& mem,
 }
 
 // Mode dispatcher used by the application.
-template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
+template <memsim::memory_policy Mem, typename Keys>
 bool send_message(path_mode mode, tcp::tcp_sender<Mem>& sender, const Mem& mem,
-                  const Cipher& cipher, const core::gather_source& src,
+                  const Keys& keys, const core::gather_source& src,
                   const core::message_plan& plan, send_workspace& workspace,
                   path_counters& counters) {
     if (mode == path_mode::ilp) {
-        return send_message_ilp(sender, mem, cipher, src, plan, counters);
+        return send_message_ilp(sender, mem, keys, src, plan, counters);
     }
-    return send_message_layered(sender, mem, cipher, src, plan, workspace,
+    return send_message_layered(sender, mem, keys, src, plan, workspace,
                                 counters);
 }
 

@@ -4,18 +4,21 @@
 // `memsim::touch_map` shadowing the payload-carrying buffers, then asks the
 // analyzer (analysis/touch_audit.h) to verify the Figure 13 property: every
 // source byte read exactly once, every destination byte written exactly
-// once, nothing else.  The send driver replicates `send_message_ilp`'s
-// composition and part schedule over a plain destination span (no TCP ring
-// needed — the loop is identical); the receive driver calls the genuine
-// `receive_reply_ilp`.  Both round-trip the payload so a cipher or plan bug
-// fails loudly rather than producing a clean-but-wrong audit.
+// once, nothing else.  The drivers call the genuine `fill_message_ilp` (over
+// a one-piece ring span — the TCP ring is not needed) and
+// `receive_reply_ilp`, under either framing: pass a bare cipher for wire
+// v2, an aead_framing for wire v3 (body *and* clear trailer).  Each
+// round-trips the payload through the opposite real path so a cipher, plan
+// or tag bug fails loudly rather than producing a clean-but-wrong audit.
 //
 // `ilp-lint --audit` runs these as the dynamic half of the lint pass;
 // tests/analysis_test.cpp runs them plus a seeded double-reading stage that
 // the auditor must catch.
 #pragma once
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "analysis/touch_audit.h"
@@ -31,9 +34,10 @@
 #include "rpc/messages.h"
 #include "util/rng.h"
 
-// The receive driver needs the real path; include it last to keep the
-// dependency direction obvious (this header sits above the paths).
+// The drivers run the real paths; include them last to keep the dependency
+// direction obvious (this header sits above the paths).
 #include "app/receive_path.h"
+#include "app/send_path.h"
 
 namespace ilp::app {
 
@@ -53,35 +57,56 @@ inline rpc::reply_header audit_header(std::size_t payload_bytes) {
     return h;
 }
 
-// Builds the encrypted wire image of an audit reply with a plain
-// direct-memory send pass (unaudited — this is the fixture, not the subject).
-template <crypto::block_cipher Cipher>
-void build_wire(const Cipher& cipher, const rpc::reply_layout& layout,
-                std::span<const std::byte> payload,
-                std::span<std::byte> wire) {
-    rpc::reply_staging staging;
-    const core::gather_source src =
-        rpc::make_reply_source(detail::audit_header(payload.size()), payload,
-                               staging);
-    const memsim::direct_memory mem;
-    checksum::inet_accumulator acc;
-    core::encrypt_stage<Cipher> enc(cipher);
-    core::checksum_tap8 tap(acc);
-    auto loop = core::make_pipeline(enc, tap);
-    const core::scatter_dest dst = core::span_dest(wire);
-    for (const core::message_part& part : layout.plan.ilp_order()) {
-        if (part.empty()) continue;
-        loop.run(mem, src.slice(part.offset, part.len),
-                 dst.slice(part.offset, part.len));
+// Trailer bytes of the framing `Keys` selects (0 for wire v2).
+template <typename Keys>
+constexpr std::size_t trailer_of =
+    decltype(as_framing(std::declval<const Keys&>()))::trailer_bytes;
+
+// An audit reply: a seeded payload and its wire image, built by the real
+// ILP fill in direct memory (unaudited — this is the fixture, not the
+// subject).
+struct audit_reply {
+    byte_buffer payload;
+    byte_buffer wire;
+
+    template <typename Keys>
+    audit_reply(const Keys& keys, std::size_t payload_bytes,
+                std::uint64_t seed)
+        : payload(payload_bytes),
+          wire(rpc::layout_reply(payload_bytes).wire_bytes +
+               trailer_of<Keys>) {
+        rng(seed).fill(payload.span());
+        rpc::reply_staging staging;
+        const core::gather_source src = rpc::make_reply_source(
+            audit_header(payload_bytes), payload.span(), staging);
+        fill_message_ilp(memsim::direct_memory{}, keys, src,
+                         rpc::layout_reply(payload_bytes).plan,
+                         ring_span{wire.span(), {}});
     }
+};
+
+// Receives `wire` into `dest` through the real reply path and checks the
+// payload (and, for aead, the tag) came back intact.
+template <memsim::memory_policy Mem, typename Keys>
+bool receive_intact(const Mem& mem, const Keys& keys,
+                    const const_ring_span& wire, std::span<std::byte> dest,
+                    std::span<const std::byte> payload) {
+    path_counters counters;
+    const tcp::rx_process_result result = receive_reply_ilp(
+        mem, keys, wire,
+        [&](const rpc::reply_header&, std::size_t n) {
+            return n == dest.size() ? dest : std::span<std::byte>{};
+        },
+        nullptr, counters);
+    return result.ok && std::ranges::equal(dest, payload);
 }
 
 }  // namespace detail
 
-// Audits the fused send composition: encrypt+checksum over the B,C,A part
-// schedule, application memory -> wire image.
-template <crypto::block_cipher Cipher>
-audit_outcome audit_fused_send(const Cipher& cipher,
+// Audits the fused send composition: the real fill (encrypt+checksum over
+// the B,C,A part schedule, then any trailer), application memory -> wire.
+template <typename Keys>
+audit_outcome audit_fused_send(const Keys& keys,
                                std::size_t payload_bytes = 1024) {
     const rpc::reply_layout layout = rpc::layout_reply(payload_bytes);
     byte_buffer payload(payload_bytes);
@@ -89,7 +114,7 @@ audit_outcome audit_fused_send(const Cipher& cipher,
     rpc::reply_staging staging;
     const core::gather_source src = rpc::make_reply_source(
         detail::audit_header(payload_bytes), payload.span(), staging);
-    byte_buffer wire(layout.wire_bytes);
+    byte_buffer wire(layout.wire_bytes + detail::trailer_of<Keys>);
 
     memsim::memory_system sys(memsim::test_tiny());
     memsim::touch_map map;
@@ -97,79 +122,47 @@ audit_outcome audit_fused_send(const Cipher& cipher,
     map.watch("msg-payload", payload.data(), payload.size());
     map.watch("wire", wire.data(), wire.size());
     sys.set_touch_map(&map);
-    const memsim::sim_memory mem(sys);
-
-    checksum::inet_accumulator acc;
-    core::encrypt_stage<Cipher> enc(cipher);
-    core::checksum_tap8 tap(acc);
-    auto loop = core::make_pipeline(enc, tap);
-    ILP_EXPECT(layout.plan.well_formed() &&
-               layout.plan.aligned_for(decltype(loop)::required_alignment));
-    const core::scatter_dest dst = core::span_dest(wire.span());
-    for (const core::message_part& part : layout.plan.ilp_order()) {
-        if (part.empty()) continue;
-        loop.run(mem, src.slice(part.offset, part.len),
-                 dst.slice(part.offset, part.len));
-    }
+    fill_message_ilp(memsim::sim_memory(sys), keys, src, layout.plan,
+                     ring_span{wire.span(), {}});
     sys.set_touch_map(nullptr);
 
     audit_outcome out;
     out.findings = analysis::audit_touches(
         map,
         {{"msg-staging", 1, 0}, {"msg-payload", 1, 0}, {"wire", 0, 1}},
-        "src/app/send_path.h:send_message_ilp", "app-send-ilp");
-
-    // Round trip: decrypt the wire with a plain pass and compare payloads.
-    byte_buffer plain(layout.wire_bytes);
-    {
-        const memsim::direct_memory raw;
-        core::decrypt_stage<Cipher> dec(cipher);
-        auto undo = core::make_pipeline(dec);
-        undo.run(raw, core::span_source(wire.span()),
-                 core::span_dest(plain.span()));
-    }
-    out.round_trip_ok =
-        std::memcmp(plain.data() + rpc::reply_payload_offset, payload.data(),
-                    payload_bytes) == 0;
+        "src/app/send_path.h:fill_message_ilp",
+        detail::trailer_of<Keys> > 0 ? "app-send-secure-ilp" : "app-send-ilp");
+    byte_buffer dest(payload_bytes);
+    out.round_trip_ok = detail::receive_intact(
+        memsim::direct_memory{}, keys, wire.span(), dest.span(),
+        payload.span());
     return out;
 }
 
 // Audits the fused receive path: the genuine receive_reply_ilp, wire image
 // -> application destination buffer.
-template <crypto::block_cipher Cipher>
-audit_outcome audit_fused_receive(const Cipher& cipher,
+template <typename Keys>
+audit_outcome audit_fused_receive(const Keys& keys,
                                   std::size_t payload_bytes = 1024) {
-    const rpc::reply_layout layout = rpc::layout_reply(payload_bytes);
-    byte_buffer payload(payload_bytes);
-    rng(13).fill(payload.span());
-    byte_buffer wire(layout.wire_bytes);
-    detail::build_wire(cipher, layout, payload.span(), wire.span());
-
+    detail::audit_reply reply(keys, payload_bytes, 13);
     byte_buffer dest(payload_bytes);
     memsim::memory_system sys(memsim::test_tiny());
     memsim::touch_map map;
-    map.watch("wire", wire.data(), wire.size());
+    map.watch("wire", reply.wire.data(), reply.wire.size());
     map.watch("reply-dest", dest.data(), dest.size());
     sys.set_touch_map(&map);
-    const memsim::sim_memory mem(sys);
-
-    path_counters counters;
-    rpc::reply_header header;
-    const tcp::rx_process_result result = receive_reply_ilp(
-        mem, cipher, wire.span(),
-        [&](const rpc::reply_header&, std::size_t n) -> std::span<std::byte> {
-            return n == dest.size() ? dest.span() : std::span<std::byte>{};
-        },
-        &header, counters);
+    const bool intact = detail::receive_intact(memsim::sim_memory(sys), keys,
+                                               reply.wire.span(), dest.span(),
+                                               reply.payload.span());
     sys.set_touch_map(nullptr);
 
     audit_outcome out;
     out.findings = analysis::audit_touches(
         map, {{"wire", 1, 0}, {"reply-dest", 0, 1}},
-        "src/app/receive_path.h:receive_reply_ilp", "app-recv-reply-ilp");
-    out.round_trip_ok =
-        result.ok &&
-        std::memcmp(dest.data(), payload.data(), payload_bytes) == 0;
+        "src/app/receive_path.h:receive_reply_ilp",
+        detail::trailer_of<Keys> > 0 ? "app-recv-secure-ilp"
+                                  : "app-recv-reply-ilp");
+    out.round_trip_ok = intact;
     return out;
 }
 
@@ -180,57 +173,47 @@ audit_outcome audit_fused_receive(const Cipher& cipher,
 // of the exactly-once expectations, the copy-count audit (A3) proves no
 // staging pass survives: the only writes on the whole watched path are the
 // payload bytes landing in their destination.
-template <crypto::block_cipher Cipher>
-audit_outcome audit_zero_copy_receive(const Cipher& cipher,
+template <typename Keys>
+audit_outcome audit_zero_copy_receive(const Keys& keys,
                                       std::size_t payload_bytes = 1024) {
-    const rpc::reply_layout layout = rpc::layout_reply(payload_bytes);
-    byte_buffer payload(payload_bytes);
-    rng(17).fill(payload.span());
-    byte_buffer wire(layout.wire_bytes);
-    detail::build_wire(cipher, layout, payload.span(), wire.span());
+    const detail::audit_reply reply(keys, payload_bytes, 17);
+    const std::size_t wire_bytes = reply.wire.size();
 
     // Stage the wire as a wrap-straddling loan, split at an odd offset so
     // the chain cut lands mid-word inside the payload region.
-    const std::size_t split = layout.wire_bytes / 2 + 3;
-    byte_buffer arena(layout.wire_bytes + 64);
+    const std::size_t split = wire_bytes / 2 + 3;
+    byte_buffer arena(wire_bytes + 64);
     std::byte* piece_a = arena.data() + arena.size() - split;
     std::byte* piece_b = arena.data();
-    std::memcpy(piece_a, wire.data(), split);
-    std::memcpy(piece_b, wire.data() + split, layout.wire_bytes - split);
-    const_ring_span chain;
-    chain.first = {piece_a, split};
-    chain.second = {piece_b, layout.wire_bytes - split};
+    std::memcpy(piece_a, reply.wire.data(), split);
+    std::memcpy(piece_b, reply.wire.data() + split, wire_bytes - split);
+    const const_ring_span chain{{piece_a, split},
+                                {piece_b, wire_bytes - split}};
 
     byte_buffer dest(payload_bytes);
     memsim::memory_system sys(memsim::test_tiny());
     memsim::touch_map map;
     map.watch("kernel-a", piece_a, split);
-    map.watch("kernel-b", piece_b, layout.wire_bytes - split);
+    map.watch("kernel-b", piece_b, wire_bytes - split);
     map.watch("reply-dest", dest.data(), dest.size());
     sys.set_touch_map(&map);
-    const memsim::sim_memory mem(sys);
-
-    path_counters counters;
-    rpc::reply_header header;
-    const tcp::rx_process_result result = receive_reply_ilp(
-        mem, cipher, chain,
-        [&](const rpc::reply_header&, std::size_t n) -> std::span<std::byte> {
-            return n == dest.size() ? dest.span() : std::span<std::byte>{};
-        },
-        &header, counters);
+    const bool intact =
+        detail::receive_intact(memsim::sim_memory(sys), keys, chain,
+                               dest.span(), reply.payload.span());
     sys.set_touch_map(nullptr);
 
+    const char* pipeline = detail::trailer_of<Keys> > 0
+                               ? "app-recv-secure-zero-copy"
+                               : "app-recv-zero-copy";
     audit_outcome out;
     out.findings = analysis::audit_touches(
         map, {{"kernel-a", 1, 0}, {"kernel-b", 1, 0}, {"reply-dest", 0, 1}},
-        "src/app/receive_path.h:receive_reply_ilp", "app-recv-zero-copy");
+        "src/app/receive_path.h:receive_reply_ilp", pipeline);
     const auto copies = analysis::audit_copy_count(
         map, payload_bytes, "src/app/receive_path.h:receive_reply_ilp",
-        "app-recv-zero-copy");
+        pipeline);
     out.findings.insert(out.findings.end(), copies.begin(), copies.end());
-    out.round_trip_ok =
-        result.ok &&
-        std::memcmp(dest.data(), payload.data(), payload_bytes) == 0;
+    out.round_trip_ok = intact;
     return out;
 }
 

@@ -28,6 +28,13 @@ struct const_ring_span {
     std::span<const std::byte> first;
     std::span<const std::byte> second;
 
+    const_ring_span() = default;
+    const_ring_span(std::span<const std::byte> a, std::span<const std::byte> b)
+        : first(a), second(b) {}
+    // A one-piece chain over a contiguous buffer, so span callers reach the
+    // chain-taking receive paths without a second overload.
+    const_ring_span(std::span<std::byte> whole) : first(whole) {}
+
     std::size_t size() const noexcept { return first.size() + second.size(); }
 
     // Sub-range [offset, offset+len) of the chained bytes, re-expressed as

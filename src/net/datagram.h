@@ -195,6 +195,8 @@ public:
                         std::uint32_t tag = 0) {
         std::size_t total = 0;
         for (const auto part : parts) {
+            // An empty part may carry a null pointer, which memcpy forbids.
+            if (part.empty()) continue;
             ILP_EXPECT(total + part.size() <= max_packet_bytes);
             std::memcpy(kernel_staging_.data() + total, part.data(),
                         part.size());

@@ -18,6 +18,8 @@
 #include "core/fused_pipeline.h"
 #include "core/message_plan.h"
 #include "core/stage.h"
+#include "crypto/aead.h"
+#include "crypto/kdf.h"
 #include "crypto/safer_k64.h"
 #include "memsim/configs.h"
 #include "memsim/mem_policy.h"
@@ -324,6 +326,34 @@ TEST(TouchAudit, OddPayloadSizesStillAuditClean) {
         const app::audit_outcome r = app::audit_fused_receive(cipher, payload);
         EXPECT_TRUE(r.round_trip_ok) << payload;
         EXPECT_EQ(r.findings.size(), 0u) << payload;
+    }
+}
+
+// Wire v3: the fill writes body *and* clear trailer exactly once; the
+// chain receive reads every wire byte, trailer included, exactly once, and
+// writes only the payload.  Sent and received through one keychain window,
+// the way a flow's reply direction runs.
+TEST(TouchAudit, SecurePathsTouchBodyAndTrailerExactlyOnce) {
+    crypto::keychain<crypto::aead_cipher> window(7);
+    window.advance();  // a nonzero epoch on the wire
+    const app::aead_framing<crypto::aead_cipher> v3{
+        &window.current(), window.current_epoch(), &window, nullptr};
+    for (const std::size_t payload : {0u, 52u, 1024u}) {
+        const app::audit_outcome s = app::audit_fused_send(v3, payload);
+        EXPECT_TRUE(s.round_trip_ok) << payload;
+        const app::audit_outcome r = app::audit_fused_receive(v3, payload);
+        EXPECT_TRUE(r.round_trip_ok) << payload;
+        for (const finding& f : s.findings) {
+            ADD_FAILURE() << analysis::render_text(f);
+        }
+        for (const finding& f : r.findings) {
+            ADD_FAILURE() << analysis::render_text(f);
+        }
+    }
+    const app::audit_outcome zc = app::audit_zero_copy_receive(v3);
+    EXPECT_TRUE(zc.round_trip_ok);
+    for (const finding& f : zc.findings) {
+        ADD_FAILURE() << analysis::render_text(f);
     }
 }
 

@@ -296,8 +296,10 @@ app::secure_rx_status receive_into(secure_fixture& f,
                              std::size_t n) -> std::span<std::byte> {
         return dest.size() >= n ? dest.subspan(0, n) : std::span<std::byte>{};
     };
-    app::receive_reply_secure(mode, direct_memory{}, chain, f.wire.span(),
-                              resolve, &header, &status, counters);
+    app::receive_reply(mode, direct_memory{},
+                       app::aead_framing<aead_cipher>{.window = &chain,
+                                                      .status = &status},
+                       f.wire.span(), resolve, &header, counters);
     return status;
 }
 
@@ -370,9 +372,10 @@ TEST(SecureReceive, ChainMatchesSpanIncludingTrailerSplits) {
             return dest.size() >= n ? dest.span().subspan(0, n)
                                     : std::span<std::byte>{};
         };
-        const auto result = app::receive_reply_secure(
-            app::path_mode::ilp, direct_memory{}, kc, wire_chain, resolve,
-            &header, &status, counters);
+        const auto result = app::receive_reply_ilp(
+            direct_memory{},
+            app::aead_framing<aead_cipher>{.window = &kc, .status = &status},
+            wire_chain, resolve, &header, counters);
         EXPECT_TRUE(result.ok) << "split=" << split;
         EXPECT_EQ(status.cause, app::secure_rx_cause::ok) << "split=" << split;
         EXPECT_EQ(std::memcmp(dest.data(), f.payload.data(),

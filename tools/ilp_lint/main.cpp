@@ -31,6 +31,8 @@
 #include "app/path_models.h"
 #include "app/touch_audits.h"
 #include "core/message_plan.h"
+#include "crypto/aead.h"
+#include "crypto/kdf.h"
 #include "crypto/safer_k64.h"
 #include "rpc/pipeline_models.h"
 #include "tcp/pipeline_models.h"
@@ -108,40 +110,49 @@ std::vector<analysis::finding> sweep_plans(
 }
 
 std::vector<analysis::finding> run_audits() {
-    std::vector<analysis::finding> out;
     std::array<std::byte, crypto::safer_k64::key_bytes> key{};
     rng(3).fill(key);
     const crypto::safer_k64 cipher(key);
+    // Wire v3 audits run the reply direction's framing exactly as a flow
+    // does: send under the window's current key, receive through the window.
+    crypto::keychain<crypto::aead_cipher> window(3);
+    const app::aead_framing<crypto::aead_cipher> v3{
+        &window.current(), window.current_epoch(), &window, nullptr};
 
-    app::audit_outcome send = app::audit_fused_send(cipher);
-    app::audit_outcome recv = app::audit_fused_receive(cipher);
-    app::audit_outcome zc = app::audit_zero_copy_receive(cipher);
-    out.insert(out.end(), send.findings.begin(), send.findings.end());
-    out.insert(out.end(), recv.findings.begin(), recv.findings.end());
-    out.insert(out.end(), zc.findings.begin(), zc.findings.end());
-    if (!send.round_trip_ok) {
-        out.push_back({analysis::severity::error, "A0-audit-fixture",
-                       "src/app/send_path.h:send_message_ilp", "app-send-ilp",
-                       "audit payload failed to round-trip through the fused "
-                       "send path; the audit result is not trustworthy",
-                       {}});
-    }
-    if (!recv.round_trip_ok) {
-        out.push_back({analysis::severity::error, "A0-audit-fixture",
-                       "src/app/receive_path.h:receive_reply_ilp",
-                       "app-recv-reply-ilp",
-                       "audit payload failed to round-trip through the fused "
-                       "receive path; the audit result is not trustworthy",
-                       {}});
-    }
-    if (!zc.round_trip_ok) {
-        out.push_back({analysis::severity::error, "A0-audit-fixture",
-                       "src/app/receive_path.h:receive_reply_ilp",
-                       "app-recv-zero-copy",
-                       "audit payload failed to round-trip through the "
-                       "zero-copy fused receive path; the audit result is "
-                       "not trustworthy",
-                       {}});
+    struct audit_run {
+        app::audit_outcome outcome;
+        const char* site;
+        const char* pipeline;
+        const char* path;
+    };
+    const audit_run runs[] = {
+        {app::audit_fused_send(cipher), "src/app/send_path.h:fill_message_ilp",
+         "app-send-ilp", "fused send"},
+        {app::audit_fused_receive(cipher),
+         "src/app/receive_path.h:receive_reply_ilp", "app-recv-reply-ilp",
+         "fused receive"},
+        {app::audit_zero_copy_receive(cipher),
+         "src/app/receive_path.h:receive_reply_ilp", "app-recv-zero-copy",
+         "zero-copy fused receive"},
+        {app::audit_fused_send(v3), "src/app/send_path.h:fill_message_ilp",
+         "app-send-secure-ilp", "wire-v3 fused send"},
+        {app::audit_zero_copy_receive(v3),
+         "src/app/receive_path.h:receive_reply_ilp",
+         "app-recv-secure-zero-copy", "wire-v3 zero-copy fused receive"},
+    };
+    std::vector<analysis::finding> out;
+    for (const audit_run& run : runs) {
+        out.insert(out.end(), run.outcome.findings.begin(),
+                   run.outcome.findings.end());
+        if (!run.outcome.round_trip_ok) {
+            out.push_back({analysis::severity::error, "A0-audit-fixture",
+                           run.site, run.pipeline,
+                           std::string("audit payload failed to round-trip "
+                                       "through the ") +
+                               run.path +
+                               " path; the audit result is not trustworthy",
+                           {}});
+        }
     }
     return out;
 }
