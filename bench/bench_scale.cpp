@@ -8,6 +8,7 @@
 // cache contention from a simulated-memory fleet.  Emits the versioned
 // BENCH JSON schema; the checked-in baseline (bench/baselines/
 // BENCH_scale.json) records the `--smoke` sweep that CI diffs against.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -103,6 +104,24 @@ double run_seconds(const std::function<void()>& fn) {
     fn();
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(t1 - t0).count();
+}
+
+// Wall-clock scaling leg: median-of-3 seconds to run `flows` 2 KB ILP
+// flows to completion, or a negative value if any flow did not complete.
+double fleet_wall_seconds(std::uint32_t flows) {
+    fleet_config cfg = fleet_of(flows, ilp::app::path_mode::ilp);
+    cfg.defaults.file_bytes = 2048;
+    std::vector<double> runs;
+    for (int rep = 0; rep < 3; ++rep) {
+        fleet_report r;
+        runs.push_back(run_seconds([&] {
+            r = ilp::engine::run_fleet_native<ilp::crypto::safer_simplified>(
+                cfg);
+        }));
+        if (r.completed != flows) return -1.0;
+    }
+    std::sort(runs.begin(), runs.end());
+    return runs[1];
 }
 
 }  // namespace
@@ -310,6 +329,36 @@ int main(int argc, char** argv) {
                          fleet_json_path.c_str());
             return 1;
         }
+    }
+
+    // Scaling gate: per-event engine work must not grow with the flow
+    // count, so 4x the flows may take at most 6x the wall time (a linear
+    // engine gives ~4x, a quadratic one ~16x).  Wall time is
+    // machine-dependent, so the numbers are info metrics, but the exponent
+    // is enforced here, like the observability overhead above.
+    {
+        constexpr std::uint32_t n = 2'000;
+        const double t_n = fleet_wall_seconds(n);
+        const double t_4n = fleet_wall_seconds(4 * n);
+        if (t_n <= 0.0 || t_4n <= 0.0) {
+            std::fprintf(stderr, "ERROR: scaling-leg fleet failed\n");
+            return 1;
+        }
+        const double ratio = t_4n / t_n;
+        if (ratio > 6.0) {
+            std::fprintf(stderr,
+                         "ERROR: t(4N)/t(N) = %.2f exceeds 6.0 "
+                         "(%u flows %.3fs, %u flows %.3fs)\n",
+                         ratio, n, t_n, 4 * n, t_4n);
+            return 1;
+        }
+        report.meta("scale_wall_file_bytes", "2048");
+        report.metric("scale.wall.flows_per_s.2k", n / t_n, "flows/s",
+                      obs::direction::info);
+        report.metric("scale.wall.flows_per_s.8k", 4 * n / t_4n, "flows/s",
+                      obs::direction::info);
+        report.metric("scale.wall.t4n_over_tn", ratio, "ratio",
+                      obs::direction::info);
     }
 
     if (!trace_path.empty()) {

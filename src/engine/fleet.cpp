@@ -171,7 +171,14 @@ void fleet_report::finalize() {
         elapsed.record(o.elapsed_us);
         bytes.record(o.payload_bytes);
     }
+    // Engine internals (never part of digest(): they describe the shard
+    // packing, not what happened to a flow).
+    std::uint64_t pending_max = 0;
+    std::uint64_t in_flight_max = 0;
     for (const shard_summary& s : shards) {
+        metrics.add("engine.clock.timers_fired", s.clock.timers_fired);
+        pending_max = std::max(pending_max, s.clock.pending_max);
+        in_flight_max = std::max(in_flight_max, s.pipe_in_flight_max);
         metrics.add("analysis.gate.checks", s.gate.checks);
         metrics.add("analysis.gate.cache_hits", s.gate.cache_hits);
         metrics.add("analysis.gate.fallbacks", s.gate.fallbacks);
@@ -199,6 +206,8 @@ void fleet_report::finalize() {
         metrics.add(prefix + "mem_cycles",
                     s.client_mem.cycles + s.server_mem.cycles);
     }
+    metrics.add("engine.clock.pending_max", pending_max);
+    metrics.add("engine.net.in_flight_max", in_flight_max);
 }
 
 std::string fleet_report_json(const fleet_report& report) {

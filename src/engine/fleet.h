@@ -81,6 +81,10 @@ struct shard_summary {
     // replacement for per-flow latency state.
     obs::histogram latency;
     std::vector<slow_flow> slowest;
+    // Engine internals: the shard clock's timer population and the peak
+    // packet count queued on any one of the shard's four pipes.
+    clock_stats clock;
+    std::uint64_t pipe_in_flight_max = 0;
 };
 
 struct fleet_report {
@@ -211,6 +215,13 @@ fleet_report run_fleet(const fleet_config& cfg, MemFactory&& shard_mems) {
             s.server_mem = obs::sample_counters(*sys);
         }
         s.gate = w->gate().stats();
+        s.clock = w->clock().stats();
+        for (net::datagram_pipe* p :
+             {&w->request_link().forward(), &w->request_link().reverse(),
+              &w->reply_link().forward(), &w->reply_link().reverse()}) {
+            s.pipe_in_flight_max =
+                std::max(s.pipe_in_flight_max, p->stats().in_flight_max);
+        }
         s.latency = w->latency_sketch();
         s.slowest = w->slowest_flows();
         std::sort(s.slowest.begin(), s.slowest.end(),

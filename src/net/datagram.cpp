@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <tuple>
 
 #include "obs/tracer.h"
 
@@ -113,7 +114,7 @@ void datagram_pipe::enqueue(std::size_t bytes, std::uint32_t tag) {
         }
         // Finite kernel queue: tail drop when the link is saturated.
         if (faults_.max_queue_packets != 0 &&
-            queue_.size() >= faults_.max_queue_packets) {
+            in_flight() >= faults_.max_queue_packets) {
             ++stats_.packets_dropped;
             ++stats_.packets_queue_dropped;
             ++fs.stats.packets_dropped;
@@ -162,15 +163,21 @@ void datagram_pipe::enqueue(std::size_t bytes, std::uint32_t tag) {
             ++stats_.packets_truncated;
             pkt.data.resize(1 + fs.coin.next_below(bytes - 1));
         }
-        sim_time deliver_at = clock_->now() + latency_us_;
+        pkt.deliver_at = clock_->now() + latency_us_;
+        pkt.seq = next_seq_++;
+        std::deque<in_flight_packet>* fifo = &queue_;
         if (fs.coin.next_bool(fs.faults.reorder_probability)) {
             ++stats_.packets_reordered;
             // Hold the packet long enough that a later send overtakes it.
-            deliver_at += 2 * latency_us_ + 1;
+            pkt.deliver_at += 2 * latency_us_ + 1;
+            fifo = &held_;
         }
-        pkt.deliver_at = deliver_at;
-        queue_.push_back(std::move(pkt));
+        ILP_EXPECT(fifo->empty() || fifo->back().deliver_at <= pkt.deliver_at);
+        const sim_time deliver_at = pkt.deliver_at;
+        fifo->push_back(std::move(pkt));
         ++fs.stats.in_flight;
+        stats_.in_flight_max =
+            std::max<std::uint64_t>(stats_.in_flight_max, in_flight());
         clock_->schedule_at(deliver_at, [this] { deliver_due(); });
     }
 }
@@ -179,17 +186,19 @@ void datagram_pipe::deliver_due() {
     ILP_OBS_SPAN("net", "deliver");
     const sim_time now = clock_->now();
     for (;;) {
-        // Earliest due packet (stable order for ties: queue order).
-        auto it = queue_.end();
-        for (auto cand = queue_.begin(); cand != queue_.end(); ++cand) {
-            if (cand->deliver_at > now) continue;
-            if (it == queue_.end() || cand->deliver_at < it->deliver_at) {
-                it = cand;
-            }
+        // The earliest packet, ties in send order, is the smaller of the
+        // two fronts; if it is not due yet, nothing is.
+        std::deque<in_flight_packet>* from = &queue_;
+        if (queue_.empty() ||
+            (!held_.empty() &&
+             std::tie(held_.front().deliver_at, held_.front().seq) <
+                 std::tie(queue_.front().deliver_at, queue_.front().seq))) {
+            from = &held_;
         }
-        if (it == queue_.end()) break;
+        if (from->empty() || from->front().deliver_at > now) break;
+        const in_flight_packet& pkt = from->front();
 
-        const std::size_t n = it->data.size();
+        const std::size_t n = pkt.data.size();
         const_ring_span loan;
         if (on_segment_ != nullptr) {
             // Loaned delivery: DMA the packet into the receive ring at the
@@ -200,25 +209,25 @@ void datagram_pipe::deliver_due() {
             const std::size_t cap = rx_ring_.size();
             const std::size_t at = rx_offset_;
             if (at + n <= cap) {
-                std::memcpy(rx_ring_.data() + at, it->data.data(), n);
+                std::memcpy(rx_ring_.data() + at, pkt.data.data(), n);
                 loan.first = {rx_ring_.data() + at, n};
             } else {
                 const std::size_t head = cap - at;
-                std::memcpy(rx_ring_.data() + at, it->data.data(), head);
-                std::memcpy(rx_ring_.data(), it->data.data() + head,
+                std::memcpy(rx_ring_.data() + at, pkt.data.data(), head);
+                std::memcpy(rx_ring_.data(), pkt.data.data() + head,
                             n - head);
                 loan.first = {rx_ring_.data() + at, head};
                 loan.second = {rx_ring_.data(), n - head};
             }
             rx_offset_ = (at + n) % cap;
         } else {
-            std::memcpy(deliver_buffer_.data(), it->data.data(), n);
+            std::memcpy(deliver_buffer_.data(), pkt.data.data(), n);
         }
-        fault_state& fs = state_for(it->tag);
+        fault_state& fs = state_for(pkt.tag);
         ILP_EXPECT(fs.stats.in_flight > 0);
         --fs.stats.in_flight;
         ++fs.stats.packets_delivered;
-        queue_.erase(it);
+        from->pop_front();
         ++stats_.packets_delivered;
         ++stats_.deliver_crossings;
         if (on_segment_ != nullptr) {

@@ -109,6 +109,8 @@ struct pipe_stats {
     // delivered packet (kernel -> user handler).
     std::uint64_t send_crossings = 0;
     std::uint64_t deliver_crossings = 0;
+    // High-water mark of in_flight(), held packets included.
+    std::uint64_t in_flight_max = 0;
 };
 
 // Per-tag view of the shared queue: one logical flow's share of the pipe.
@@ -218,11 +220,15 @@ public:
     }
 
     // Delivers every packet whose latency has elapsed (called by the clock's
-    // timer machinery; exposed for tests that poll manually).
+    // timer machinery; exposed for tests that poll manually).  Due packets
+    // leave in (deliver_at, send order) order.
     void deliver_due();
 
     const pipe_stats& stats() const noexcept { return stats_; }
-    std::size_t in_flight() const noexcept { return queue_.size(); }
+    // Queued packets, reorder-held ones included.
+    std::size_t in_flight() const noexcept {
+        return queue_.size() + held_.size();
+    }
     // Per-tag accounting; zeroed stats for a tag never seen.
     tag_stats stats_for_tag(std::uint32_t tag) const;
     std::size_t in_flight_for(std::uint32_t tag) const;
@@ -231,6 +237,7 @@ private:
     struct in_flight_packet {
         std::vector<std::byte> data;
         sim_time deliver_at;
+        std::uint64_t seq = 0;  // send order; breaks deliver_at ties
         std::uint32_t tag = 0;
     };
 
@@ -265,7 +272,14 @@ private:
     // regularly straddle the wrap (exercising the two-span chain path).
     byte_buffer rx_ring_;
     std::size_t rx_offset_ = 0;
+    // Ordinary packets, in send order.  Their deliver_at = now + latency
+    // never decreases, so the front is always the earliest one.
     std::deque<in_flight_packet> queue_;
+    // Reorder-held packets (deliver_at = now + 3 * latency + 1), also
+    // non-decreasing in send order, so this is a FIFO too.  deliver_due()
+    // pops the smaller (deliver_at, seq) of the two fronts.
+    std::deque<in_flight_packet> held_;
+    std::uint64_t next_seq_ = 0;
     pipe_stats stats_;
 };
 

@@ -325,6 +325,48 @@ TEST(EngineDeterminism, ThreadedShardsMatchSerialExecution) {
     EXPECT_EQ(serial.payload_bytes, threaded.payload_bytes);
 }
 
+// Engine-internal counters describe the work behind the same per-flow
+// outcomes.  Timers fired is per-flow work summed, so it holds under any
+// packing; the high-water marks are per-clock and per-pipe peaks, so they
+// hold across threads but grow when more flows share one shard.
+TEST(EngineDeterminism, EngineCountersInvariantUnderShardsAndThreads) {
+    const fleet_report one = run_fleet_native<cipher>(invariance_config(1));
+    const fleet_report serial =
+        run_fleet_native<cipher>(invariance_config(4, false));
+    const fleet_report threaded =
+        run_fleet_native<cipher>(invariance_config(4, true));
+    ASSERT_EQ(one.digest(), serial.digest());
+    const char* fired = "engine.clock.timers_fired";
+    EXPECT_GT(one.metrics.counter(fired), 0u);
+    EXPECT_EQ(one.metrics.counter(fired), serial.metrics.counter(fired));
+    EXPECT_EQ(serial.metrics.counter(fired), threaded.metrics.counter(fired));
+    for (const char* name :
+         {"engine.clock.pending_max", "engine.net.in_flight_max"}) {
+        EXPECT_GT(serial.metrics.counter(name), 0u) << name;
+        EXPECT_EQ(serial.metrics.counter(name),
+                  threaded.metrics.counter(name))
+            << name;
+        EXPECT_GE(one.metrics.counter(name), serial.metrics.counter(name))
+            << name;
+    }
+}
+
+// The engine counters are observability only: a fleet's digest is blind to
+// them (two reports that differ only there compare equal).
+TEST(EngineDeterminism, EngineCountersStayOutOfTheDigest) {
+    fleet_report r = run_fleet_native<cipher>(invariance_config(2));
+    const std::uint64_t digest = r.digest();
+    const std::uint64_t fired = r.metrics.counter("engine.clock.timers_fired");
+    for (shard_summary& s : r.shards) {
+        s.clock.timers_fired += 1000;
+        s.clock.pending_max += 1000;
+        s.pipe_in_flight_max += 1000;
+    }
+    r.finalize();
+    EXPECT_EQ(r.metrics.counter("engine.clock.timers_fired"), fired + 2000);
+    EXPECT_EQ(r.digest(), digest);
+}
+
 // --- trace-sampling determinism --------------------------------------------
 
 fleet_config sampled_config(std::uint32_t shards, bool threaded = false,

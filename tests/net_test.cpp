@@ -2,7 +2,9 @@
 // deterministic fault injection and crossing accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "memsim/configs.h"
@@ -184,6 +186,131 @@ TEST(Datagram, SystemCopyIsCounted) {
     EXPECT_EQ(sys.data_stats().reads.total_bytes(), 128u);
     EXPECT_EQ(sys.data_stats().writes.total_bytes(), 128u);
     EXPECT_EQ(pipe.stats().send_crossings, 1u);
+}
+
+// Each packet carries its send index in its first byte, which truncation
+// always keeps.
+TEST(DatagramOrdering, DeliveryFollowsDeliverAtThenSendOrder) {
+    constexpr sim_time latency = 10;
+    virtual_clock clock;
+    fault_config faults;
+    faults.reorder_probability = 0.3;
+    faults.duplicate_probability = 0.2;
+    faults.truncate_probability = 0.2;
+    faults.seed = 41;
+    datagram_pipe pipe(clock, latency, faults);
+    struct delivery {
+        int index;
+        sim_time at;
+    };
+    std::vector<delivery> got;
+    pipe.set_receiver([&](std::span<const std::byte> p) {
+        ASSERT_FALSE(p.empty());
+        got.push_back({std::to_integer<int>(p[0]), clock.now()});
+    });
+    constexpr int sends = 250;
+    for (int i = 0; i < sends; ++i) {
+        std::vector<std::byte> msg = pattern(1 + i % 40);
+        msg[0] = static_cast<std::byte>(i);
+        pipe.send(direct_memory{}, msg);
+        clock.advance(1);  // send i leaves at time i
+    }
+    clock.advance(10 * latency);
+    ASSERT_EQ(pipe.in_flight(), 0u);
+    ASSERT_GT(pipe.stats().packets_reordered, 0u);
+    ASSERT_GT(pipe.stats().packets_duplicated, 0u);
+    ASSERT_GT(pipe.stats().packets_truncated, 0u);
+    ASSERT_EQ(got.size(), sends + pipe.stats().packets_duplicated);
+
+    // Every packet arrives exactly at its deliver_at: send time + latency,
+    // or + 3 * latency + 1 when reorder-held.  A held packet and one sent
+    // 2 * latency + 1 later share a deliver_at; the held one was sent first
+    // and must leave first.
+    int held_ties = 0;
+    for (const delivery& d : got) {
+        const sim_time delay = d.at - static_cast<sim_time>(d.index);
+        ASSERT_TRUE(delay == latency || delay == 3 * latency + 1) << delay;
+    }
+    std::vector<delivery> reference = got;
+    std::stable_sort(reference.begin(), reference.end(),
+                     [](const delivery& a, const delivery& b) {
+                         return std::tie(a.at, a.index) <
+                                std::tie(b.at, b.index);
+                     });
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].index, reference[i].index) << "delivery " << i;
+        EXPECT_EQ(got[i].at, reference[i].at) << "delivery " << i;
+        if (i > 0 && got[i].at == got[i - 1].at &&
+            got[i].index != got[i - 1].index) {
+            ++held_ties;
+        }
+    }
+    EXPECT_GT(held_ties, 0);
+}
+
+TEST(DatagramOrdering, InFlightCountsHeldPackets) {
+    constexpr sim_time latency = 10;
+    virtual_clock clock;
+    fault_config faults;
+    faults.reorder_probability = 1.0;  // every packet is held
+    datagram_pipe pipe(clock, latency, faults);
+    int delivered = 0;
+    pipe.set_receiver([&](std::span<const std::byte>) { ++delivered; });
+    pipe.send(direct_memory{}, pattern(8), 7);
+    pipe.send(direct_memory{}, pattern(8));
+    EXPECT_EQ(pipe.in_flight(), 2u);
+    EXPECT_EQ(pipe.in_flight_for(7), 1u);
+    EXPECT_EQ(pipe.in_flight_for(0), 1u);
+    clock.advance(latency);  // an ordinary packet would be out by now
+    EXPECT_EQ(delivered, 0);
+    EXPECT_EQ(pipe.in_flight(), 2u);
+    EXPECT_EQ(pipe.in_flight_for(7), 1u);
+    clock.advance(2 * latency + 1);
+    EXPECT_EQ(delivered, 2);
+    EXPECT_EQ(pipe.in_flight(), 0u);
+    EXPECT_EQ(pipe.in_flight_for(7), 0u);
+    EXPECT_EQ(pipe.stats().in_flight_max, 2u);
+}
+
+TEST(DatagramOrdering, QueueBoundCountsHeldPackets) {
+    constexpr sim_time latency = 10;
+    virtual_clock clock;
+    fault_config faults;
+    faults.reorder_probability = 0.5;
+    faults.max_queue_packets = 3;
+    faults.seed = 5;
+    datagram_pipe pipe(clock, latency, faults);
+    for (int i = 0; i < 40; ++i) pipe.send(direct_memory{}, pattern(8));
+    // Some of the three admitted packets are held and some are not; the
+    // bound covers both queues, so the other 37 are tail-dropped.
+    EXPECT_GT(pipe.stats().packets_reordered, 0u);
+    EXPECT_LT(pipe.stats().packets_reordered, 3u);
+    EXPECT_EQ(pipe.in_flight(), 3u);
+    EXPECT_EQ(pipe.stats().packets_queue_dropped, 37u);
+    clock.advance(3 * latency + 1);
+    EXPECT_EQ(pipe.stats().packets_delivered, 3u);
+    EXPECT_EQ(pipe.stats().in_flight_max, 3u);
+}
+
+TEST(DatagramOrdering, ZeroLatencySendFromDeliveryArrivesInOrder) {
+    virtual_clock clock;
+    datagram_pipe pipe(clock, 0);
+    std::vector<int> order;
+    pipe.set_receiver([&](std::span<const std::byte> p) {
+        const int id = std::to_integer<int>(p[0]);
+        order.push_back(id);
+        if (id < 3) {  // each early packet echoes one more behind the rest
+            const std::byte echo[1] = {static_cast<std::byte>(id + 10)};
+            pipe.send(direct_memory{}, std::span<const std::byte>(echo));
+        }
+    });
+    for (int i = 0; i < 3; ++i) {
+        const std::byte b[1] = {static_cast<std::byte>(i)};
+        pipe.send(direct_memory{}, std::span<const std::byte>(b));
+    }
+    clock.advance(0);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 12}));
+    EXPECT_EQ(pipe.in_flight(), 0u);
 }
 
 TEST(DuplexLink, ForwardAndReverseAreIndependent) {

@@ -2,8 +2,12 @@
 // deterministic RNG, virtual clock, fixed_vector and hexdump.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "util/alignment.h"
 #include "util/endian.h"
@@ -187,6 +191,232 @@ TEST(VirtualClockDeath, OverflowingAdvanceAborts) {
     virtual_clock clock;
     clock.advance(100);
     EXPECT_DEATH(clock.advance(~sim_time{0}), "delta_us <=");
+}
+
+TEST(VirtualClock, StatsCountTimerPopulation) {
+    virtual_clock clock;
+    const auto a = clock.schedule_at(10, [] {});
+    clock.schedule_at(20, [] {});
+    clock.schedule_at(30, [] {});
+    EXPECT_TRUE(clock.cancel(a));
+    EXPECT_FALSE(clock.cancel(a));
+    clock.advance(25);
+    EXPECT_EQ(clock.stats().timers_scheduled, 3u);
+    EXPECT_EQ(clock.stats().timers_fired, 1u);
+    EXPECT_EQ(clock.stats().timers_cancelled, 1u);
+    EXPECT_EQ(clock.stats().pending_max, 3u);
+    EXPECT_EQ(clock.pending_timers(), 1u);
+}
+
+// Cancel-heavy churn (the TCP RTO re-arm pattern): dead heap entries are
+// compacted away, so a long run keeps firing the survivors correctly.
+TEST(VirtualClock, CancelChurnKeepsLiveTimers) {
+    virtual_clock clock;
+    std::vector<std::uint64_t> fired;
+    std::uint64_t rearmed = 0;
+    for (int i = 0; i < 10'000; ++i) {
+        if (rearmed != 0) {
+            EXPECT_TRUE(clock.cancel(rearmed));
+        }
+        rearmed = clock.schedule_after(1'000, [] {});
+        if (i % 100 == 0) {
+            clock.schedule_after(50, [&fired, &clock] {
+                fired.push_back(clock.now());
+            });
+        }
+        clock.advance(1);
+    }
+    EXPECT_EQ(clock.pending_timers(), 1u);
+    EXPECT_EQ(fired.size(), 100u);
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+}
+
+// The linear-scan clock the heap replaced (contract checks dropped), kept
+// as the reference for the firing order: among live timers due by the
+// target, fire the minimum (deadline, token), rescanning after every
+// callback.
+class linear_clock {
+public:
+    sim_time now() const noexcept { return now_us_; }
+
+    void advance(sim_time delta_us) { advance_to(now_us_ + delta_us); }
+
+    void advance_to(sim_time deadline_us) {
+        for (;;) {
+            timer* next = nullptr;
+            for (auto& t : timers_) {
+                if (t.cancelled || t.deadline > deadline_us) continue;
+                if (next == nullptr || t.deadline < next->deadline ||
+                    (t.deadline == next->deadline && t.token < next->token)) {
+                    next = &t;
+                }
+            }
+            if (next == nullptr) break;
+            now_us_ = std::max(now_us_, next->deadline);
+            auto fn = std::move(next->fn);
+            next->cancelled = true;
+            fn();
+        }
+        now_us_ = deadline_us;
+        std::erase_if(timers_, [](const timer& t) { return t.cancelled; });
+    }
+
+    std::uint64_t schedule_at(sim_time deadline_us, std::function<void()> fn) {
+        const std::uint64_t token = next_token_++;
+        timers_.push_back(timer{deadline_us, token, std::move(fn)});
+        return token;
+    }
+    std::uint64_t schedule_after(sim_time delta_us, std::function<void()> fn) {
+        return schedule_at(now_us_ + delta_us, std::move(fn));
+    }
+
+    bool cancel(std::uint64_t token) {
+        for (auto& t : timers_) {
+            if (t.token == token && !t.cancelled) {
+                t.cancelled = true;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    std::size_t pending_timers() const noexcept {
+        return static_cast<std::size_t>(
+            std::count_if(timers_.begin(), timers_.end(),
+                          [](const timer& t) { return !t.cancelled; }));
+    }
+
+private:
+    struct timer {
+        sim_time deadline;
+        std::uint64_t token;
+        std::function<void()> fn;
+        bool cancelled = false;
+    };
+
+    sim_time now_us_ = 0;
+    std::uint64_t next_token_ = 1;
+    std::vector<timer> timers_;
+};
+
+// Drives one clock through a seeded script and logs everything observable.
+// A callback's actions are drawn from derive_seed(seed, token), so two
+// clocks that agree on the fire order so far also agree on what every
+// callback does; the first divergence shows up in the log.
+struct clock_event {
+    char kind;  // 'f' fire, 'c' cancel, 's' schedule
+    std::uint64_t token;
+    std::uint64_t value;  // now() at a fire, cancel()'s result, or pending
+    bool operator==(const clock_event&) const = default;
+};
+
+template <typename Clock>
+struct clock_driver {
+    explicit clock_driver(std::uint64_t s) : seed(s) {}
+
+    Clock clock;
+    std::uint64_t seed;
+    std::uint64_t issued = 0;
+    std::uint64_t pending_max = 0;
+    std::vector<clock_event> log;
+
+    // Deadline in the past, at now, or in the future; the small range makes
+    // equal deadlines common.
+    sim_time pick_deadline(rng& r) {
+        const sim_time k = r.next_below(12);
+        switch (r.next_below(3)) {
+            case 0:
+                return clock.now() - std::min(k, clock.now());
+            case 1:
+                return clock.now();
+            default:
+                return clock.now() + k;
+        }
+    }
+
+    // Live, fired, cancelled and never-issued tokens (0 and past `issued`).
+    std::uint64_t pick_token(rng& r) { return r.next_below(issued + 3); }
+
+    // Schedules at `when`, an absolute deadline, or with `relative` a delay
+    // through schedule_after().
+    void schedule(sim_time when, int depth, bool relative = false) {
+        auto token = std::make_shared<std::uint64_t>(0);
+        auto fn = [this, token, depth] { fire(*token, depth); };
+        *token = relative ? clock.schedule_after(when, fn)
+                          : clock.schedule_at(when, fn);
+        issued = *token;
+        pending_max = std::max<std::uint64_t>(pending_max,
+                                              clock.pending_timers());
+        log.push_back({'s', *token, clock.pending_timers()});
+    }
+
+    void cancel(std::uint64_t token) {
+        log.push_back({'c', token, clock.cancel(token) ? 1u : 0u});
+    }
+
+    void fire(std::uint64_t token, int depth) {
+        log.push_back({'f', token, clock.now()});
+        if (depth >= 3) return;
+        rng r(derive_seed(seed, token));
+        const std::uint64_t actions = r.next_below(4);
+        for (std::uint64_t i = 0; i < actions; ++i) {
+            if (r.next_bool(0.6)) {
+                schedule(pick_deadline(r), depth + 1);
+            } else {
+                cancel(pick_token(r));
+            }
+        }
+    }
+
+    // One top-level operation, drawn from the shared driver stream.
+    void step(rng& r) {
+        switch (r.next_below(6)) {
+            case 0:
+            case 1:
+                schedule(pick_deadline(r), 0);
+                break;
+            case 2:
+                cancel(pick_token(r));
+                break;
+            case 3:
+                clock.advance(r.next_below(8));
+                break;
+            case 4:
+                clock.advance_to(clock.now() + r.next_below(20));
+                break;
+            default:
+                schedule(r.next_below(8), 0, true);
+                break;
+        }
+    }
+};
+
+TEST(VirtualClockProperty, HeapMatchesLinearScanReference) {
+    for (std::uint64_t run = 0; run < 3000; ++run) {
+        const std::uint64_t seed = derive_seed(0xc10c, run);
+        clock_driver<virtual_clock> heap(seed);
+        clock_driver<linear_clock> ref(seed);
+        rng heap_ops(seed);
+        rng ref_ops(seed);
+        for (int op = 0; op < 120; ++op) {
+            heap.step(heap_ops);
+            ref.step(ref_ops);
+            ASSERT_EQ(heap.log, ref.log) << "run " << run << " op " << op;
+            ASSERT_EQ(heap.clock.now(), ref.clock.now());
+            ASSERT_EQ(heap.clock.pending_timers(),
+                      ref.clock.pending_timers());
+        }
+        std::uint64_t fires = 0;
+        std::uint64_t cancels = 0;
+        for (const auto& e : ref.log) {
+            if (e.kind == 'f') ++fires;
+            if (e.kind == 'c' && e.value == 1) ++cancels;
+        }
+        ASSERT_EQ(heap.clock.stats().timers_scheduled, heap.issued);
+        ASSERT_EQ(heap.clock.stats().timers_fired, fires);
+        ASSERT_EQ(heap.clock.stats().timers_cancelled, cancels);
+        ASSERT_EQ(heap.clock.stats().pending_max, ref.pending_max);
+    }
 }
 
 TEST(Json, ParsesScalars) {
