@@ -5,7 +5,8 @@
 // versioned BENCH JSON schema (recorded as BENCH_recovery.json at the repo
 // root) so `ilp-trace --diff` can gate later changes to the retry and
 // retransmission machinery.  `--json=PATH` additionally writes the report
-// to a file.
+// to a file.  Exits 1 when a lossy regime's seed drops no reply packet:
+// its rows would be clean-run numbers under a lossy name.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
         {"bernoulli_1pct",
          [](app::transfer_config& c) {
              c.forward_faults.drop_probability = 0.01;
-             c.forward_faults.seed = 11;
+             c.forward_faults.seed = 13;
          }},
         {"gilbert_elliott_burst",
          [](app::transfer_config& c) {
@@ -48,6 +49,15 @@ int main(int argc, char** argv) {
              c.forward_faults.burst.bad_loss = 0.95;
              c.forward_faults.seed = 11;
          }},
+    };
+
+    bool vacuous = false;
+    const auto require_loss = [&](const std::string& key,
+                                  const app::transfer_result& result) {
+        if (result.reply_pipe.packets_dropped != 0) return;
+        std::fprintf(stderr, "ERROR: lossy regime %s dropped no packet\n",
+                     key.c_str());
+        vacuous = true;
     };
 
     obs::bench_report report("recovery");
@@ -70,6 +80,7 @@ int main(int argc, char** argv) {
             const std::string key =
                 std::string(r.name) + "." +
                 (mode == app::path_mode::ilp ? "ilp" : "layered");
+            if (r.name != std::string("clean")) require_loss(key, result);
             const auto count = [&](const char* name, std::uint64_t v,
                                    obs::direction dir) {
                 report.metric(key + "." + name, static_cast<double>(v),
@@ -137,6 +148,7 @@ int main(int argc, char** argv) {
         const std::string key =
             std::string("rekey_under_load.") +
             (mode == app::path_mode::ilp ? "ilp" : "layered");
+        require_loss(key, result);
         report.metric(key + ".completed",
                       result.completed && result.verified ? 1.0 : 0.0, "bool",
                       obs::direction::higher_is_better);
@@ -169,5 +181,5 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "ERROR: cannot write %s\n", json_path.c_str());
         return 1;
     }
-    return 0;
+    return vacuous ? 1 : 0;
 }

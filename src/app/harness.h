@@ -5,6 +5,11 @@
 // "a 15 kbyte file with varying message sizes ... several times from a
 // server (sender) to a client (receiver) on the same machine using UDP in
 // loop back mode" (§4.1).
+//
+// A transfer is one ordinary flow (id 0) on a default engine shard: the
+// same port allocation, demux routes, per-flow fault streams and scheduler
+// cadence as any fleet flow, so run_transfer and a one-flow round_robin
+// engine::run_fleet_native agree on every outcome.
 #pragma once
 
 #include <array>
@@ -27,6 +32,8 @@ struct transfer_config {
     // reply payload is chosen as the largest that fits.
     std::size_t packet_wire_bytes = 1024;
     sim_time link_latency_us = 100;
+    // Per-direction fault plans, installed on the flow's own tag stream.
+    // A plan's max_queue_packets bounds the whole pipe's kernel queue.
     net::fault_config forward_faults{};
     net::fault_config reverse_faults{};
     // Faults on the request link (client -> server direction and its ACK
@@ -107,25 +114,22 @@ struct transfer_result {
 
 // Runs one transfer with the given memory policies (one per side — e.g. two
 // sim_memory instances over distinct memory systems, or two direct_memory).
-//
-// The transfer itself is a one-flow engine shard in legacy mode (see
-// engine/shard.h): the shard reproduces the historical wiring — fixed ports,
-// untagged fault streams, pump/poll/advance cadence — so this wrapper's
-// results are bit-identical to the pre-engine harness, while multi-flow
-// callers use engine::run_fleet over the same machinery.
 template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
 transfer_result run_transfer(const transfer_config& config,
                              const Mem& client_mem, const Mem& server_mem,
                              const Cipher& client_cipher,
                              const Cipher& server_cipher) {
     engine::shard_options opts;
-    opts.legacy_single_flow = true;
     opts.link_latency_us = config.link_latency_us;
     opts.poll_step_us = config.poll_step_us;
-    opts.request_forward_faults = config.request_forward_faults;
-    opts.request_reverse_faults = config.request_reverse_faults;
-    opts.reply_forward_faults = config.forward_faults;
-    opts.reply_reverse_faults = config.reverse_faults;
+    // A per-tag plan's queue bound is not read by the pipe; the shared
+    // kernel queue is the pipe's own.
+    opts.request_forward_queue_packets =
+        config.request_forward_faults.max_queue_packets;
+    opts.request_reverse_queue_packets =
+        config.request_reverse_faults.max_queue_packets;
+    opts.reply_forward_queue_packets = config.forward_faults.max_queue_packets;
+    opts.reply_reverse_queue_packets = config.reverse_faults.max_queue_packets;
     engine::shard<Mem, Cipher> shard(0, opts, client_mem, server_mem);
 
     engine::flow_config fc;
@@ -137,6 +141,10 @@ transfer_result run_transfer(const transfer_config& config,
     fc.file_seed = config.file_seed;
     fc.deadline_us = config.deadline_us;
     fc.zero_copy = config.zero_copy;
+    fc.forward_faults = config.forward_faults;
+    fc.reverse_faults = config.reverse_faults;
+    fc.request_forward_faults = config.request_forward_faults;
+    fc.request_reverse_faults = config.request_reverse_faults;
     fc.secure = config.secure;
     fc.secure_wire_version = config.secure_wire_version;
     fc.rekey_interval_bytes = config.rekey_interval_bytes;

@@ -152,14 +152,10 @@ fleet_report run_fleet(const fleet_config& cfg, MemFactory&& shard_mems) {
     opts.policy = cfg.policy;
     opts.drr_quantum_bytes = cfg.drr_quantum_bytes;
     opts.trace_sampler = cfg.trace_sampler;
-    if (cfg.kernel_queue_packets != 0) {
-        opts.request_forward_faults.max_queue_packets =
-            cfg.kernel_queue_packets;
-        opts.request_reverse_faults.max_queue_packets =
-            cfg.kernel_queue_packets;
-        opts.reply_forward_faults.max_queue_packets = cfg.kernel_queue_packets;
-        opts.reply_reverse_faults.max_queue_packets = cfg.kernel_queue_packets;
-    }
+    opts.request_forward_queue_packets = cfg.kernel_queue_packets;
+    opts.request_reverse_queue_packets = cfg.kernel_queue_packets;
+    opts.reply_forward_queue_packets = cfg.kernel_queue_packets;
+    opts.reply_reverse_queue_packets = cfg.kernel_queue_packets;
 
     std::vector<std::unique_ptr<shard<Mem, Cipher>>> workers;
     workers.reserve(cfg.shards);

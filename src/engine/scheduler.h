@@ -4,9 +4,10 @@
 // the policy how much that flow's server may transmit:
 //
 //   * round_robin — drain until blocked: each visit sends every segment TCP
-//     has window/buffer space for, exactly the single-flow harness cadence.
-//     Fair in visits, not in bytes: a flow with large segments gets more
-//     link per visit than one with small segments.
+//     has window/buffer space for, and so does every accepted request and
+//     reply ACK between visits — the cadence app::run_transfer, a one-flow
+//     round_robin shard, runs at.  Fair in visits, not in bytes: a flow with
+//     large segments gets more link per visit than one with small segments.
 //   * deficit_round_robin — byte-metered (Shreedhar & Varghese): each visit
 //     deposits `quantum_bytes` of credit, a segment may go out only when the
 //     flow's credit covers its wire size, and sent bytes are charged.  Over

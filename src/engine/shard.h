@@ -16,11 +16,12 @@
 // their ports to the allocator; their endpoints and outcome stay readable
 // until the shard dies.
 //
-// Legacy mode (`shard_options::legacy_single_flow`) reproduces the
-// historical single-flow harness exactly: fixed ports 5001/5002/6001/6002,
-// untagged sends (tag 0, the pipes' legacy RNG stream), direct pipe
-// receivers instead of demuxes, and the pump()/poll()/advance() cadence —
-// app::run_transfer is a thin wrapper over a one-flow shard.
+// The shard alone decides when a server transmits.  Under round_robin a
+// flow's server also drains from its request and reply-ACK routes — an
+// accepted request or a freed window continues segmenting at once, through
+// the same scheduler grant/charge as a service visit — while
+// deficit_round_robin meters every segment in the service visit only.
+// app::run_transfer is an ordinary one-flow shard.
 #pragma once
 
 #include <array>
@@ -47,14 +48,13 @@ namespace ilp::engine {
 struct shard_options {
     sim_time link_latency_us = 100;
     sim_time poll_step_us = 200;
-    // Pipe-level fault plans (request forward/reverse, reply
-    // forward/reverse).  In engine mode these normally carry only the
-    // shared kernel-queue bound; per-flow plans install per tag.  Legacy
-    // mode routes the transfer_config fault plans through here verbatim.
-    net::fault_config request_forward_faults{};
-    net::fault_config request_reverse_faults{};
-    net::fault_config reply_forward_faults{};
-    net::fault_config reply_reverse_faults{};
+    // Shared kernel-queue bound per pipe (request forward/reverse, reply
+    // forward/reverse; 0 = unbounded).  Every other fault knob is per flow
+    // (flow_config), installed on the flow's own tag.
+    std::size_t request_forward_queue_packets = 0;
+    std::size_t request_reverse_queue_packets = 0;
+    std::size_t reply_forward_queue_packets = 0;
+    std::size_t reply_reverse_queue_packets = 0;
     // Fair-share bound per flow inside the shared kernel queue (0 = off).
     std::size_t per_flow_queue_cap = 0;
     sched_policy policy = sched_policy::round_robin;
@@ -62,7 +62,6 @@ struct shard_options {
     // Local-port range the allocator hands flows (4 ports per flow).
     std::uint16_t first_port = 10'000;
     std::uint16_t last_port = 59'999;
-    bool legacy_single_flow = false;
     // Deterministic per-flow trace sampling (obs/sampler.h): installed on
     // the shard's tracer and stamped into every outcome.  The default
     // samples every flow — the pre-sampling behaviour.
@@ -80,10 +79,11 @@ public:
           server_mem_(server_mem),
           scheduler_(opts.policy, opts.drr_quantum_bytes),
           request_link_(clock_, opts.link_latency_us,
-                        opts.request_forward_faults,
-                        opts.request_reverse_faults),
-          reply_link_(clock_, opts.link_latency_us, opts.reply_forward_faults,
-                      opts.reply_reverse_faults),
+                        queue_bound(opts.request_forward_queue_packets),
+                        queue_bound(opts.request_reverse_queue_packets)),
+          reply_link_(clock_, opts.link_latency_us,
+                      queue_bound(opts.reply_forward_queue_packets),
+                      queue_bound(opts.reply_reverse_queue_packets)),
           ports_(opts.first_port, opts.last_port) {
         // An installed tracer timestamps this shard's spans on this shard's
         // clock (worker threads carry no tracer; the macros no-op there)
@@ -92,23 +92,23 @@ public:
             t->set_clock(&clock_);
             t->set_sampler(opts_.trace_sampler);
         }
-        if (!opts_.legacy_single_flow) {
-            request_link_.forward().set_receiver(
-                request_fwd_demux_.receiver());
-            request_link_.reverse().set_receiver(
-                request_rev_demux_.receiver());
-            reply_link_.forward().set_receiver(reply_fwd_demux_.receiver());
-            reply_link_.reverse().set_receiver(reply_rev_demux_.receiver());
-            if (opts_.per_flow_queue_cap != 0) {
-                request_link_.forward().set_per_tag_queue_cap(
-                    opts_.per_flow_queue_cap);
-                request_link_.reverse().set_per_tag_queue_cap(
-                    opts_.per_flow_queue_cap);
-                reply_link_.forward().set_per_tag_queue_cap(
-                    opts_.per_flow_queue_cap);
-                reply_link_.reverse().set_per_tag_queue_cap(
-                    opts_.per_flow_queue_cap);
-            }
+        // Data pipes lend each packet to their demux, which passes the
+        // loan on to zero-copy routes; ACKs are never lent.
+        request_link_.forward().set_segment_receiver(
+            request_fwd_demux_.segment_receiver());
+        request_link_.reverse().set_receiver(request_rev_demux_.receiver());
+        reply_link_.forward().set_segment_receiver(
+            reply_fwd_demux_.segment_receiver());
+        reply_link_.reverse().set_receiver(reply_rev_demux_.receiver());
+        if (opts_.per_flow_queue_cap != 0) {
+            request_link_.forward().set_per_tag_queue_cap(
+                opts_.per_flow_queue_cap);
+            request_link_.reverse().set_per_tag_queue_cap(
+                opts_.per_flow_queue_cap);
+            reply_link_.forward().set_per_tag_queue_cap(
+                opts_.per_flow_queue_cap);
+            reply_link_.reverse().set_per_tag_queue_cap(
+                opts_.per_flow_queue_cap);
         }
     }
 
@@ -127,19 +127,15 @@ public:
             std::make_unique<flow_entry>(client_cipher, server_cipher);
         flow_entry& e = *holder;
         e.id = id;
-        e.tag = opts_.legacy_single_flow ? 0 : id + 1;
+        e.tag = id + 1;
         e.cfg = cfg;
         e.outcome.flow_id = id;
         e.outcome.shard = index_;
         e.outcome.trace_sampled = opts_.trace_sampler.sampled(id);
-        if (opts_.legacy_single_flow) {
-            e.file = "testfile";
-        } else {
-            // (push_back, not `= "f"`: dodges a GCC 12 -Wrestrict false
-            // positive in the string assignment fast path.)
-            e.file.push_back('f');
-            e.file += std::to_string(id);
-        }
+        // (push_back, not `= "f"`: dodges a GCC 12 -Wrestrict false
+        // positive in the string assignment fast path.)
+        e.file.push_back('f');
+        e.file += std::to_string(id);
         store_.add_random(e.file, cfg.file_bytes, cfg.file_seed);
 
         tcp::connection_config request_cfg;
@@ -148,32 +144,25 @@ public:
         reply_cfg.remote_addr = 0x0a000001;
         request_cfg.zero_copy = reply_cfg.zero_copy = cfg.zero_copy;
         request_cfg.net_tag = reply_cfg.net_tag = e.tag;
-        if (opts_.legacy_single_flow) {
-            request_cfg.local_port = 5001;
-            request_cfg.remote_port = 5002;
-            reply_cfg.local_port = 6001;
-            reply_cfg.remote_port = 6002;
-        } else {
-            if (!allocate_ports(e)) {
-                e.finished = true;
-                e.outcome.ports_exhausted = true;
-                e.outcome.black_box.record(
-                    clock_.now(), obs::flight_event::ports_exhausted);
-                table_.emplace(id, std::move(holder));
-                return false;
-            }
-            request_cfg.local_port = e.ports[port_client_request];
-            request_cfg.remote_port = e.ports[port_server_request];
-            reply_cfg.local_port = e.ports[port_server_reply];
-            reply_cfg.remote_port = e.ports[port_client_reply];
-            // Per-flow fault plans on the flow's own tag stream.
-            request_link_.forward().configure_tag(e.tag,
-                                                  cfg.request_forward_faults);
-            request_link_.reverse().configure_tag(e.tag,
-                                                  cfg.request_reverse_faults);
-            reply_link_.forward().configure_tag(e.tag, cfg.forward_faults);
-            reply_link_.reverse().configure_tag(e.tag, cfg.reverse_faults);
+        if (!allocate_ports(e)) {
+            e.finished = true;
+            e.outcome.ports_exhausted = true;
+            e.outcome.black_box.record(clock_.now(),
+                                       obs::flight_event::ports_exhausted);
+            table_.emplace(id, std::move(holder));
+            return false;
         }
+        request_cfg.local_port = e.ports[port_client_request];
+        request_cfg.remote_port = e.ports[port_server_request];
+        reply_cfg.local_port = e.ports[port_server_reply];
+        reply_cfg.remote_port = e.ports[port_client_reply];
+        // Per-flow fault plans on the flow's own tag stream.
+        request_link_.forward().configure_tag(e.tag,
+                                              cfg.request_forward_faults);
+        request_link_.reverse().configure_tag(e.tag,
+                                              cfg.request_reverse_faults);
+        reply_link_.forward().configure_tag(e.tag, cfg.forward_faults);
+        reply_link_.reverse().configure_tag(e.tag, cfg.reverse_faults);
 
         // Both endpoints share the flow's security parameters — the
         // deterministic KDF stands in for the key exchange.  The client-side
@@ -205,30 +194,15 @@ public:
             }
         }
 
-        if (opts_.legacy_single_flow) {
-            e.server = std::make_unique<app::file_server<Mem, Cipher>>(
-                server_mem_, e.server_cipher, clock_, request_link_,
-                reply_link_, tcp::mirrored(request_cfg), reply_cfg, mode,
-                store_, server_sec);
-            e.client = std::make_unique<app::file_client<Mem, Cipher>>(
-                client_mem_, e.client_cipher, clock_, request_link_,
-                reply_link_, request_cfg, tcp::mirrored(reply_cfg), mode,
-                cfg.retry, client_sec);
-        } else {
-            e.server = std::make_unique<app::file_server<Mem, Cipher>>(
-                server_mem_, e.server_cipher, clock_, request_link_.reverse(),
-                reply_link_.forward(), tcp::mirrored(request_cfg), reply_cfg,
-                mode, store_, server_sec);
-            e.client = std::make_unique<app::file_client<Mem, Cipher>>(
-                client_mem_, e.client_cipher, clock_, request_link_.forward(),
-                reply_link_.reverse(), request_cfg, tcp::mirrored(reply_cfg),
-                mode, cfg.retry, client_sec);
-            // Engine flows are serviced only through the scheduler: the
-            // ACK handler must not bypass the meter (and serviced_bytes
-            // must account every data segment).
-            e.server->set_auto_pump(false);
-            bind_routes(e);
-        }
+        e.server = std::make_unique<app::file_server<Mem, Cipher>>(
+            server_mem_, e.server_cipher, clock_, request_link_.reverse(),
+            reply_link_.forward(), tcp::mirrored(request_cfg), reply_cfg,
+            mode, store_, server_sec);
+        e.client = std::make_unique<app::file_client<Mem, Cipher>>(
+            client_mem_, e.client_cipher, clock_, request_link_.forward(),
+            reply_link_.reverse(), request_cfg, tcp::mirrored(reply_cfg),
+            mode, cfg.retry, client_sec);
+        bind_routes(e);
 
         rpc::file_request request;
         request.request_id = 7 + id;
@@ -245,9 +219,7 @@ public:
         e.started_at = clock_.now();
         bool issued = false;
         if (request.max_reply_payload != 0) {
-            obs::scoped_flow flow_scope(opts_.legacy_single_flow
-                                            ? -1
-                                            : static_cast<std::int64_t>(id));
+            obs::scoped_flow flow_scope(static_cast<std::int64_t>(id));
             issued = e.client->request_file(request);
         }
         if (!issued) {
@@ -392,6 +364,12 @@ private:
         flow_entry* active_next = nullptr;
     };
 
+    static net::fault_config queue_bound(std::size_t packets) {
+        net::fault_config f;
+        f.max_queue_packets = packets;
+        return f;
+    }
+
     static app::secure_params secure_params_for(const flow_config& cfg) {
         app::secure_params sec;
         sec.enabled = cfg.secure;
@@ -420,29 +398,38 @@ private:
         return false;
     }
 
+    // A zero-copy flow's data routes take the pipe's loan; its ACK routes,
+    // and every route of a copying flow, get a contiguous kernel packet.
     void bind_routes(flow_entry& e) {
         flow_entry* ep = &e;
-        bool ok = request_fwd_demux_.bind(
-            e.ports[port_server_request], [ep](std::span<const std::byte> p) {
-                obs::scoped_flow flow_scope(ep->id);
-                ep->server->on_request_packet(p);
-            });
+        const auto request_in = [this, ep](const auto& packet) {
+            obs::scoped_flow flow_scope(ep->id);
+            ep->server->on_request_packet(packet);
+            drain_on_input(*ep);
+        };
+        const auto reply_in = [ep](const auto& packet) {
+            obs::scoped_flow flow_scope(ep->id);
+            ep->client->on_reply_packet(packet);
+        };
+        const std::uint16_t request_port = e.ports[port_server_request];
+        const std::uint16_t reply_port = e.ports[port_client_reply];
+        bool ok = e.cfg.zero_copy
+                      ? request_fwd_demux_.bind_lending(request_port,
+                                                        request_in) &&
+                            reply_fwd_demux_.bind_lending(reply_port, reply_in)
+                      : request_fwd_demux_.bind(request_port, request_in) &&
+                            reply_fwd_demux_.bind(reply_port, reply_in);
         ok = request_rev_demux_.bind(e.ports[port_client_request],
                                      [ep](std::span<const std::byte> p) {
                                          obs::scoped_flow flow_scope(ep->id);
                                          ep->client->on_request_ack_packet(p);
                                      }) &&
              ok;
-        ok = reply_fwd_demux_.bind(e.ports[port_client_reply],
-                                   [ep](std::span<const std::byte> p) {
-                                       obs::scoped_flow flow_scope(ep->id);
-                                       ep->client->on_reply_packet(p);
-                                   }) &&
-             ok;
         ok = reply_rev_demux_.bind(e.ports[port_server_reply],
-                                   [ep](std::span<const std::byte> p) {
+                                   [this, ep](std::span<const std::byte> p) {
                                        obs::scoped_flow flow_scope(ep->id);
                                        ep->server->on_reply_ack_packet(p);
+                                       drain_on_input(*ep);
                                    }) &&
              ok;
         ILP_ENSURE(ok);  // freshly allocated ports cannot conflict
@@ -466,14 +453,23 @@ private:
 
     void service(flow_entry& e) {
         regate_on_rekey(e);
-        if (opts_.legacy_single_flow) {
-            e.server->pump();
-            e.client->poll();
-            record_transitions(e);
-            return;
-        }
         obs::scoped_flow flow_scope(e.id);
         scheduler_.begin_visit(e.sched, e.server->next_wire_bytes());
+        drain(e);
+        e.client->poll();
+        record_transitions(e);
+    }
+
+    // Under round_robin an accepted request or a reply ACK (a freed
+    // window) drains the server at once; deficit_round_robin leaves every
+    // grant to the service visit.
+    void drain_on_input(flow_entry& e) {
+        if (scheduler_.policy() == sched_policy::round_robin) drain(e);
+    }
+
+    // Sends server segments while the scheduler grants them, charging each
+    // one and counting it in serviced_bytes.
+    void drain(flow_entry& e) {
         for (;;) {
             const std::size_t wire = e.server->next_wire_bytes();
             if (!scheduler_.grant(e.sched, wire)) break;
@@ -485,8 +481,6 @@ private:
                                        obs::flight_event::segment,
                                        static_cast<std::uint32_t>(sent));
         }
-        e.client->poll();
-        record_transitions(e);
     }
 
     // Id-ordered intrusive active list.  Production paths open flows in
@@ -580,15 +574,10 @@ private:
                          e.server->secure_stats().tag_failures;
         o.epoch_skews = e.client->secure_stats().epoch_skews;
         o.epoch_window_hits = e.client->secure_stats().window_hits;
-        if (e.tag != 0) {
-            const net::tag_stats fwd =
-                reply_link_.forward().stats_for_tag(e.tag);
-            const net::tag_stats rev =
-                reply_link_.reverse().stats_for_tag(e.tag);
-            o.reply_packets_dropped = fwd.packets_dropped;
-            o.queue_dropped =
-                fwd.packets_queue_dropped + rev.packets_queue_dropped;
-        }
+        const net::tag_stats fwd = reply_link_.forward().stats_for_tag(e.tag);
+        const net::tag_stats rev = reply_link_.reverse().stats_for_tag(e.tag);
+        o.reply_packets_dropped = fwd.packets_dropped;
+        o.queue_dropped = fwd.packets_queue_dropped + rev.packets_queue_dropped;
         if (o.completed) {
             o.verified = true;
             const std::vector<std::byte>* original = store_.find(e.file);
@@ -641,7 +630,6 @@ private:
     void teardown(flow_entry& e) {
         e.client->quiesce();
         e.server->quiesce();
-        if (opts_.legacy_single_flow) return;
         request_fwd_demux_.unbind(e.ports[port_server_request]);
         request_rev_demux_.unbind(e.ports[port_client_request]);
         reply_fwd_demux_.unbind(e.ports[port_client_reply]);

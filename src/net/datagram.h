@@ -132,7 +132,10 @@ struct tag_stats {
 // matching Fig. 5 step 1).
 //
 // Multi-flow use: several connections share one pipe, distinguished by a
-// send *tag* (0 = untagged, the single-flow legacy path).  Each tag gets its
+// send *tag*.  Every engine flow, app::run_transfer's included, sends under
+// tag id + 1; tag 0 (untagged, the pipe-level plan's own stream) is left to
+// direct single-connection users such as the TCP unit tests and
+// bench_ablation_early_send.  Each tag gets its
 // own fault plan and RNG stream — seeded derive_seed(seed, tag) — so one
 // flow's loss pattern depends only on its own packet sequence, never on how
 // other flows' packets interleave on the shared link.  The finite kernel
@@ -241,8 +244,8 @@ private:
         std::uint32_t tag = 0;
     };
 
-    // Fault-plan state of one coin stream (the untagged legacy stream or one
-    // tag's stream).
+    // Fault-plan state of one coin stream (the untagged stream or one tag's
+    // stream).
     struct fault_state {
         fault_config faults;
         rng coin;

@@ -9,15 +9,26 @@
 // without a full header parse — kernel demultiplexing is deliberately
 // minimal, everything else happens in user space.  Register it as a
 // datagram_pipe receiver and bind one handler per local port.
+//
+// As a pipe's *segment* receiver the demux sees each packet as a loan in
+// the pipe's receive ring.  A lending route (a zero-copy connection) gets
+// that loan itself; a copying route gets the packet staged, uncounted, into
+// one fixed per-demux buffer and does its own counted system copy from
+// there — from one kernel address for every packet, as behind a span
+// receiver, so the cache model sees what it saw without the ring.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "buffer/byte_buffer.h"
+#include "buffer/ring_buffer.h"
+#include "net/datagram.h"
 #include "tcp/header.h"
 #include "util/contracts.h"
 #include "util/endian.h"
@@ -27,48 +38,51 @@ namespace ilp::net {
 class port_demux {
 public:
     using handler = std::function<void(std::span<const std::byte>)>;
+    using segment_handler = std::function<void(const const_ring_span&)>;
 
-    // Binds `on_packet` to segments addressed to `port`.  A port may have at
-    // most one listener: binding an already-bound port is rejected (returns
-    // false, counted) instead of silently replacing the existing flow's
-    // handler.  Restarting a connection on the same port is an explicit
-    // rebind().
+    port_demux() : staging_(datagram_pipe::max_packet_bytes) {}
+
+    // Binds a copying route: `on_packet` gets segments addressed to `port`
+    // as one contiguous span.  A port may have at most one listener:
+    // binding an already-bound port is rejected (returns false, counted)
+    // instead of silently replacing the existing flow's handler.
+    // Restarting a connection on the same port is an explicit rebind().
     [[nodiscard]] bool bind(std::uint16_t port, handler on_packet) {
-        const auto [it, inserted] =
-            handlers_.emplace(port, std::move(on_packet));
-        if (!inserted) ++bind_conflicts_;
-        return inserted;
+        return insert(port, {std::move(on_packet), nullptr});
+    }
+
+    // Binds a lending route: `on_segment` gets the packet in place as a
+    // (possibly two-piece) chain, valid only for the duration of the call.
+    [[nodiscard]] bool bind_lending(std::uint16_t port,
+                                    segment_handler on_segment) {
+        return insert(port, {nullptr, std::move(on_segment)});
     }
 
     // Replaces the handler of a bound port (connection restart) or binds a
     // free one.
     void rebind(std::uint16_t port, handler on_packet) {
-        handlers_[port] = std::move(on_packet);
+        routes_[port] = {std::move(on_packet), nullptr};
     }
 
-    void unbind(std::uint16_t port) { handlers_.erase(port); }
+    void unbind(std::uint16_t port) { routes_.erase(port); }
 
-    std::size_t bound_ports() const noexcept { return handlers_.size(); }
+    std::size_t bound_ports() const noexcept { return routes_.size(); }
 
-    // The pipe receiver: route by destination port.
+    // The pipe receivers: route by destination port.  A span is already a
+    // fixed kernel buffer; a segment is a loan in the pipe's receive ring.
     void dispatch(std::span<const std::byte> packet) {
-        if (packet.size() < tcp::header_bytes) {
-            ++malformed_;
-            return;
-        }
-        const std::uint16_t dst_port = load_be16(packet.data() + 2);
-        const auto it = handlers_.find(dst_port);
-        if (it == handlers_.end()) {
-            ++no_listener_drops_;
-            return;
-        }
-        ++dispatched_;
-        it->second(packet);
+        deliver(const_ring_span(packet, {}), false);
+    }
+    void dispatch_segment(const const_ring_span& segment) {
+        deliver(segment, true);
     }
 
-    // Adapter for datagram_pipe::set_receiver.
+    // Adapters for datagram_pipe::set_receiver / set_segment_receiver.
     handler receiver() {
         return [this](std::span<const std::byte> p) { dispatch(p); };
+    }
+    segment_handler segment_receiver() {
+        return [this](const const_ring_span& s) { dispatch_segment(s); };
     }
 
     std::uint64_t dispatched() const noexcept { return dispatched_; }
@@ -79,7 +93,52 @@ public:
     std::uint64_t bind_conflicts() const noexcept { return bind_conflicts_; }
 
 private:
-    std::map<std::uint16_t, handler> handlers_;
+    struct route {
+        handler on_packet;           // copying route
+        segment_handler on_segment;  // lending route
+    };
+
+    bool insert(std::uint16_t port, route r) {
+        const auto [it, inserted] = routes_.emplace(port, std::move(r));
+        if (!inserted) ++bind_conflicts_;
+        return inserted;
+    }
+
+    void deliver(const const_ring_span& packet, bool in_ring) {
+        if (packet.size() < tcp::header_bytes) {
+            ++malformed_;
+            return;
+        }
+        std::byte port[2];
+        copy_out(packet.subspan(2, 2), port);
+        const auto it = routes_.find(load_be16(port));
+        if (it == routes_.end()) {
+            ++no_listener_drops_;
+            return;
+        }
+        ++dispatched_;
+        const route& r = it->second;
+        if (r.on_segment != nullptr) {
+            r.on_segment(packet);
+        } else if (!in_ring) {
+            r.on_packet(packet.first);
+        } else {
+            // Uncounted staging at a fixed address (see the file comment).
+            copy_out(packet, staging_.data());
+            r.on_packet(staging_.subspan(0, packet.size()));
+        }
+    }
+
+    static void copy_out(const const_ring_span& src, std::byte* dst) {
+        std::memcpy(dst, src.first.data(), src.first.size());
+        if (!src.second.empty()) {
+            std::memcpy(dst + src.first.size(), src.second.data(),
+                        src.second.size());
+        }
+    }
+
+    std::map<std::uint16_t, route> routes_;
+    byte_buffer staging_;
     std::uint64_t dispatched_ = 0;
     std::uint64_t no_listener_drops_ = 0;
     std::uint64_t malformed_ = 0;

@@ -89,7 +89,7 @@ struct connection_config {
     // retransmissions, control segments, ACKs).  The multi-flow engine sets
     // it to the flow id so the shared datagram pipes can account each flow's
     // queue share and draw its fault coins from a per-flow stream; 0 (the
-    // default) is the untagged single-flow path.
+    // default) is untagged, for a connection that owns its pipes.
     std::uint32_t net_tag = 0;
 };
 

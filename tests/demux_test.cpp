@@ -95,6 +95,47 @@ TEST(PortDemux, RebindReplacesHandlerExplicitly) {
     EXPECT_EQ(demux.bound_ports(), 2u);
 }
 
+// As a pipe's segment receiver the demux routes a loan by its destination
+// port even when the port bytes straddle the ring wrap.  A lending route
+// gets the loan itself; a copying route gets one contiguous staged copy.
+TEST(PortDemux, SegmentDispatchLendsOrStages) {
+    port_demux demux;
+    const_ring_span lent;
+    std::vector<std::byte> copied;
+    const std::byte* copied_from = nullptr;
+    ASSERT_TRUE(demux.bind_lending(
+        1000, [&](const const_ring_span& s) { lent = s; }));
+    ASSERT_TRUE(demux.bind(2000, [&](std::span<const std::byte> p) {
+        copied.assign(p.begin(), p.end());
+        copied_from = p.data();
+    }));
+
+    std::vector<std::byte> to_lender = segment_to(1000, 16);
+    std::vector<std::byte> to_copier = segment_to(2000, 16);
+    for (std::size_t i = tcp::header_bytes; i < to_copier.size(); ++i) {
+        to_copier[i] = static_cast<std::byte>(i);
+    }
+    // Two-piece chains split between the two destination-port bytes.
+    const auto split = [](const std::vector<std::byte>& seg) {
+        const std::span<const std::byte> all(seg);
+        return const_ring_span(all.first(3), all.subspan(3));
+    };
+    demux.dispatch_segment(split(to_lender));
+    demux.dispatch_segment(split(to_copier));
+
+    EXPECT_EQ(lent.first.data(), to_lender.data());
+    EXPECT_EQ(lent.second.data(), to_lender.data() + 3);
+    EXPECT_EQ(lent.size(), to_lender.size());
+    EXPECT_EQ(copied, to_copier);
+    EXPECT_NE(copied_from, to_copier.data());
+    EXPECT_EQ(demux.dispatched(), 2u);
+
+    // A span receiver hands a lending route a one-piece chain.
+    demux.dispatch(to_lender);
+    EXPECT_EQ(lent.first.data(), to_lender.data());
+    EXPECT_TRUE(lent.second.empty());
+}
+
 TEST(PortAllocator, ExhaustionIsExplicitAndReleaseRecycles) {
     port_allocator ports(100, 103);
     EXPECT_EQ(ports.capacity(), 4u);

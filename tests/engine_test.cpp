@@ -10,12 +10,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string_view>
 
+#include "app/harness.h"
 #include "crypto/aead.h"
 #include "crypto/safer_simplified.h"
 #include "engine/fleet.h"
 #include "engine/shard.h"
+#include "memsim/configs.h"
 #include "memsim/mem_policy.h"
+#include "obs/tracer.h"
 #include "util/rng.h"
 
 namespace ilp::engine {
@@ -273,6 +277,104 @@ TEST(EngineGate, LegalTapStaysOnTheFusedPath) {
     EXPECT_EQ(s.gate().stats().checks, 2u);  // send + receive graph
 }
 
+// --- one wiring -------------------------------------------------------------
+
+// run_transfer is an ordinary one-flow shard: it and a one-flow round_robin
+// fleet with the same configuration agree on every outcome, clean and
+// under burst loss.
+TEST(EngineShard, RunTransferIsAOneFlowRoundRobinFleet) {
+    for (const bool lossy : {false, true}) {
+        app::transfer_config tc;
+        tc.file_bytes = 64 * 1024;
+        if (lossy) {
+            tc.forward_faults.burst.enabled = true;
+            tc.forward_faults.burst.p_good_to_bad = 0.05;
+            tc.forward_faults.burst.p_bad_to_good = 0.25;
+            tc.forward_faults.burst.bad_loss = 0.95;
+            tc.forward_faults.seed = 11;
+        }
+        const app::transfer_result single =
+            app::run_transfer_native<cipher>(tc);
+
+        fleet_config cfg;
+        cfg.policy = sched_policy::round_robin;
+        cfg.key_seed = tc.key_seed;
+        cfg.link_latency_us = tc.link_latency_us;
+        cfg.poll_step_us = tc.poll_step_us;
+        cfg.defaults.file_bytes = tc.file_bytes;
+        cfg.defaults.packet_wire_bytes = tc.packet_wire_bytes;
+        cfg.defaults.file_seed = tc.file_seed;
+        cfg.defaults.deadline_us = tc.deadline_us;
+        cfg.defaults.forward_faults = tc.forward_faults;
+        const fleet_report fleet = run_fleet_native<cipher>(cfg);
+        ASSERT_EQ(fleet.flows.size(), 1u);
+        const flow_outcome& o = fleet.flows[0];
+
+        EXPECT_TRUE(single.completed && single.verified) << lossy;
+        EXPECT_EQ(single.verified, o.verified) << lossy;
+        EXPECT_EQ(single.elapsed_us, o.elapsed_us) << lossy;
+        EXPECT_EQ(single.payload_bytes_delivered, o.payload_bytes) << lossy;
+        EXPECT_EQ(single.reply_tcp_sender.retransmissions,
+                  o.tcp_retransmissions)
+            << lossy;
+        EXPECT_EQ(single.recovery.rpc_retries, o.rpc_retries) << lossy;
+        // The lossy case really loses packets.
+        EXPECT_EQ(o.tcp_retransmissions > 0, lossy);
+    }
+}
+
+// Zero-copy is per flow, receive side included: on one shard, the
+// zero_copy flow's client takes every reply segment as the pipe's loan and
+// its TCP input stages only the header, while the copying flow beside it
+// copies each whole packet through the memory policy.
+TEST(EngineZeroCopy, LendingAndCopyingFlowsShareAShard) {
+#if !ILP_OBS_ENABLED
+    GTEST_SKIP() << "built with ILP_OBS=OFF";
+#endif
+    memsim::memory_system client_sys(memsim::supersparc_with_l2());
+    memsim::memory_system server_sys(memsim::supersparc_with_l2());
+    obs::tracer t(1 << 14);
+    obs::tracer* prev = obs::tracer::install(&t);
+    {
+        shard<memsim::sim_memory, cipher> s(0, shard_options{},
+                                            memsim::sim_memory(client_sys),
+                                            memsim::sim_memory(server_sys));
+        const cipher c = make_cipher(1);
+        flow_config lending = small_flow(8 * 1024);
+        lending.zero_copy = true;
+        ASSERT_TRUE(s.open_flow(0, lending, c, c));
+        ASSERT_TRUE(s.open_flow(1, small_flow(8 * 1024), c, c));
+        s.run();
+        EXPECT_TRUE(s.outcome(0).completed && s.outcome(0).verified);
+        EXPECT_TRUE(s.outcome(1).completed && s.outcome(1).verified);
+        t.set_clock(nullptr);
+    }
+    obs::tracer::install(prev);
+    ASSERT_EQ(t.dropped(), 0u);
+
+    // Per flow: client-side TCP input spans and the largest load count any
+    // one of them did itself (nested app spans excluded).
+    std::array<std::uint64_t, 2> inputs{};
+    std::array<std::uint64_t, 2> max_reads{};
+    for (const obs::span& e : t.events()) {
+        if (e.side == nullptr || std::string_view(e.side) != "client" ||
+            std::string_view(e.category) != "tcp" ||
+            std::string_view(e.name) != "input" || e.flow < 0) {
+            continue;
+        }
+        const auto f = static_cast<std::size_t>(e.flow);
+        ++inputs[f];
+        max_reads[f] = std::max(max_reads[f], e.self.reads);
+    }
+    // 8-byte loads of half a reply payload: a staged copy of any ~1 KB
+    // segment exceeds it, the 20-byte header alone stays far below.
+    const std::uint64_t half_payload_loads = 512 / 8;
+    EXPECT_GT(inputs[0], 0u);
+    EXPECT_GT(inputs[1], 0u);
+    EXPECT_LT(max_reads[0], half_payload_loads);
+    EXPECT_GT(max_reads[1], half_payload_loads);
+}
+
 // --- determinism contract --------------------------------------------------
 
 fleet_config invariance_config(std::uint32_t shards, bool threaded = false) {
@@ -365,6 +467,32 @@ TEST(EngineDeterminism, EngineCountersStayOutOfTheDigest) {
     r.finalize();
     EXPECT_EQ(r.metrics.counter("engine.clock.timers_fired"), fired + 2000);
     EXPECT_EQ(r.digest(), digest);
+}
+
+// Zero-copy and copying flows, ILP and layered, clean and lossy, on both
+// policies: the demux's lending path keeps the digest invariant under the
+// shard count and threading.  (Runs under the TSan CI leg via the
+// EngineDeterminism filter.)
+TEST(EngineDeterminism, MixedZeroCopyFleetDigestParity) {
+    for (const sched_policy policy :
+         {sched_policy::round_robin, sched_policy::deficit_round_robin}) {
+        const auto run = [policy](std::uint32_t shards, bool threaded) {
+            fleet_config cfg = invariance_config(shards, threaded);
+            cfg.policy = policy;
+            cfg.per_flow = [](std::uint32_t f, flow_config& fc) {
+                fc.zero_copy = f % 2 == 0;
+                if (f % 3 == 0) fc.mode = app::path_mode::layered;
+                if (f % 4 == 1) burst_loss(fc);
+            };
+            return run_fleet_native<cipher>(cfg);
+        };
+        const fleet_report one = run(1, false);
+        const fleet_report four = run(4, false);
+        const fleet_report threaded = run(4, true);
+        EXPECT_EQ(one.digest(), four.digest());
+        EXPECT_EQ(four.digest(), threaded.digest());
+        EXPECT_GT(one.verified, 0u);
+    }
 }
 
 // --- trace-sampling determinism --------------------------------------------

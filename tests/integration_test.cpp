@@ -89,7 +89,7 @@ TEST(Integration, ZeroCopyAndFaultsCompose) {
     config.file_bytes = 6 * 1024;
     config.forward_faults.drop_probability = 0.1;
     config.forward_faults.corrupt_probability = 0.1;
-    config.forward_faults.seed = 5;
+    config.forward_faults.seed = 12;
     const auto result = run_transfer_native<safer_simplified>(config);
     ASSERT_TRUE(result.completed);
     EXPECT_TRUE(result.verified);

@@ -297,7 +297,7 @@ TEST(ZeroCopyTransfer, FaultsComposeWithLoanDelivery) {
     config.zero_copy = true;
     config.forward_faults.corrupt_probability = 0.05;
     config.forward_faults.drop_probability = 0.05;
-    config.forward_faults.seed = 77;
+    config.forward_faults.seed = 79;
     const auto r =
         app::run_transfer_native<crypto::safer_simplified>(config);
     EXPECT_TRUE(r.completed);
