@@ -1,7 +1,7 @@
 // Block-graph IR — runtime-assembled stage compositions as data.
 //
-// The pipeline registry (registry.h) covers the compositions the stack
-// compiles in; this IR covers the ones it *assembles at runtime*: a flow's
+// Every composition the stack checks is a stage graph: the loops it
+// compiles in and the ones it *assembles at runtime* — a flow's
 // per-connection cipher choice, optional filter/tee taps, a framing decided
 // by version negotiation.  Every data-manipulation block is a
 // self-describing node — its footprint (granularity, alignment, ordering

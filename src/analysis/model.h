@@ -1,13 +1,11 @@
-// Pipeline models — the composition-level IR the analyzer checks.
+// Pipeline models — the composition-level IR the rules check.
 //
-// A `pipeline_model` is one registered pipeline configuration: which stages
-// are fused (their footprints, in loop order), how data is scheduled through
-// them (linear vs the paper's out-of-order B,C,A part plan, plus the part
+// A `pipeline_model` is one folded composition: which stages are fused
+// (their footprints, in loop order), how data is scheduled through them
+// (linear vs the paper's out-of-order B,C,A part plan, plus the part
 // geometry itself), and where in the codebase the composition lives.  The
-// app/RPC/TCP layers build these next to the code they describe
-// (src/app/path_models.h, src/rpc/pipeline_models.h,
-// src/tcp/pipeline_models.h) and register them so `ilp-lint` can walk every
-// configuration the stack actually runs.
+// composer (compose.h) folds a stage_graph (graph.h) into one; the rules
+// (check.h) run on it.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +31,7 @@ struct part_info {
 };
 
 struct pipeline_model {
-    // Registered name, unique-ish, used in diagnostics and --list.
+    // Graph name, used in diagnostics and --list.
     std::string name;
     // Where the composition lives: "src/app/send_path.h:send_message_ilp".
     std::string site;
@@ -61,13 +59,5 @@ struct pipeline_model {
     // length is fixed — the paper's second applicability rule.
     bool header_sizes_known = true;
 };
-
-// Convenience: build the footprint list of a fused_pipeline instantiation.
-// Usage: stages_of<core::fused_pipeline<A, B>>() — but spelled through the
-// pipeline's own shape() to keep stage packs out of caller code.
-template <typename... Stages>
-std::vector<footprint> footprints_of() {
-    return {footprint_of<Stages>()...};
-}
 
 }  // namespace ilp::analysis

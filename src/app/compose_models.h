@@ -1,17 +1,20 @@
 // Runtime-assembled flow graphs — the app's input to the legality engine.
 //
-// The engine no longer trusts a fixed registry of hand-audited pipelines:
-// a flow's stage composition is assembled at run time from its config
+// A flow's stage composition is assembled at run time from its config
 // (cipher, wire framing, optional observation tap, side), described as an
 // analysis::stage_graph, and handed to analysis::legality_gate before any
-// fused loop runs.  This header builds those graphs.  The same builders
-// drive the `ilp-lint --compose` sweep, so the graph the engine gates is
-// byte-for-byte the graph CI verified differentially.
+// fused loop runs.  This header builds those graphs, reading each graph's
+// cipher and checksum nodes from the fused-loop types the selected framing
+// names (secure_path.h: send_loop / receive_loop) — the same types the data
+// paths static_assert they run.  The same builders drive `ilp-lint`, both
+// its stack-graph list and its --compose sweep (compose_sweep.h), so the
+// graph the engine gates is byte-for-byte the graph CI verified.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "analysis/graph.h"
 #include "app/secure_path.h"
@@ -59,9 +62,23 @@ inline const char* to_string(compose_schedule s) noexcept {
 }
 
 // Representative marshalled size the composed graphs (and the sweep's
-// differential runs) use: header + a 1 KB payload, same as path_models.cpp.
+// differential runs) use: header + a 1 KB payload.  The geometry rules are
+// invariant in the payload size as long as marshalling pads to the cipher
+// unit, so one exemplar plan stands in for every size the harness sends.
 inline constexpr std::size_t compose_marshalled_bytes =
     rpc::reply_payload_offset + 1024;
+
+// The representative message's parts in the order a schedule runs them:
+// the send plan's B,C,A, or stream order.
+inline std::vector<analysis::part_info> compose_parts(bool out_of_order) {
+    const core::message_plan plan = core::plan_parts(compose_marshalled_bytes);
+    std::vector<analysis::part_info> out;
+    for (const core::message_part& p :
+         out_of_order ? plan.ilp_order() : plan.linear_order()) {
+        if (!p.empty()) out.push_back({p.offset, p.len});
+    }
+    return out;
+}
 
 inline analysis::block_node tap_node(compose_tap t) {
     if (t == compose_tap::crc32) {
@@ -91,6 +108,26 @@ constexpr const char* cipher_label() {
     }
 }
 
+// Appends one fused loop type's nodes, read from its footprints() in fusion
+// order.  The epoch param rides on the loop's transforming stage (its
+// cipher; checksum taps only observe), so a rekey changes the graph hash.
+template <typename Loop>
+void add_loop_nodes(analysis::stage_graph& g, std::uint64_t epoch) {
+    for (const analysis::footprint& fp : Loop::footprints()) {
+        g.nodes.push_back({fp, fp.writes_per_unit != 0 ? epoch : 0});
+    }
+}
+
+template <typename Framing>
+void add_framing_nodes(analysis::stage_graph& g, bool receive,
+                       std::uint64_t epoch) {
+    if (receive) {
+        add_loop_nodes<typename Framing::receive_loop>(g, epoch);
+    } else {
+        add_loop_nodes<typename Framing::send_loop>(g, epoch);
+    }
+}
+
 // Builds the stage graph for one flow data path.  `epoch` is the
 // epoch-relevant parameter folded into the graph hash: a rekey produces a
 // new hash, so the gate's verdict cache cannot serve a stale verdict across
@@ -110,49 +147,31 @@ analysis::stage_graph flow_graph(const secure_params& params, compose_tap tap,
     g.out_of_order_parts = sched == compose_schedule::send_bca;
     g.trailer_reserved_bytes = secure ? secure_trailer_reserved_bytes : 0;
 
-    const core::message_plan plan = core::plan_parts(compose_marshalled_bytes);
-    const auto parts = g.out_of_order_parts ? plan.ilp_order()
-                                            : plan.linear_order();
-    for (const core::message_part& p : parts) {
-        if (!p.empty()) g.parts.push_back({p.offset, p.len});
-    }
-
-    const bool decrypting = sched == compose_schedule::receive;
-    analysis::block_node cipher_node;
-    if constexpr (std::is_same_v<Cipher, crypto::rc4>) {
-        cipher_node = {crypto::rc4_stage::footprint_decl, epoch};
-    } else if constexpr (crypto::aead_capable<Cipher>) {
-        if (secure) {
-            cipher_node = {
-                decrypting
-                    ? core::aead_decrypt_stage<Cipher>::footprint_decl
-                    : core::aead_encrypt_stage<Cipher>::footprint_decl,
-                epoch};
-        } else {
-            cipher_node = {decrypting
-                               ? core::decrypt_stage<Cipher>::footprint_decl
-                               : core::encrypt_stage<Cipher>::footprint_decl,
-                           epoch};
-        }
-    } else {
-        // A non-AEAD cipher cannot claim the v3 trailer reservation; the
-        // composer rejects such graphs under R2 (unfilled reservation).
-        cipher_node = {decrypting
-                           ? core::decrypt_stage<Cipher>::footprint_decl
-                           : core::encrypt_stage<Cipher>::footprint_decl,
-                       epoch};
-    }
+    g.parts = compose_parts(g.out_of_order_parts);
 
     // Send: transform first, TCP checksum taps the ciphertext on its way
-    // out.  Receive: checksum the wire image first, then invert.  The
-    // optional extra tap rides at the plaintext-adjacent end in both cases.
-    if (decrypting) {
-        g.nodes.push_back({core::checksum_tap8::footprint_decl, 0});
-        g.nodes.push_back(cipher_node);
+    // out.  Receive: checksum the wire image first, then invert.
+    const bool receive = sched == compose_schedule::receive;
+    if constexpr (std::is_same_v<Cipher, crypto::rc4>) {
+        // RC4 is no block_cipher, so no framing runs it; only the sweep
+        // composes it, with its node placed here.
+        const analysis::block_node cipher{crypto::rc4_stage::footprint_decl,
+                                          epoch};
+        const analysis::block_node sum{core::checksum_tap8::footprint_decl, 0};
+        g.nodes = receive ? std::vector{sum, cipher}
+                          : std::vector{cipher, sum};
+    } else if constexpr (crypto::aead_capable<Cipher>) {
+        if (secure) {
+            add_framing_nodes<aead_framing<Cipher>>(g, receive, epoch);
+        } else {
+            add_framing_nodes<plain_framing<Cipher>>(g, receive, epoch);
+        }
     } else {
-        g.nodes.push_back(cipher_node);
-        g.nodes.push_back({core::checksum_tap8::footprint_decl, 0});
+        // A non-AEAD cipher has only plain loops; under the v3 trailer
+        // reservation the composer rejects them under R2.
+        add_framing_nodes<plain_framing<Cipher>>(g, receive, epoch);
     }
+    // The optional extra tap goes last, on either side.
     if (tap != compose_tap::none) g.nodes.push_back(tap_node(tap));
     return g;
 }

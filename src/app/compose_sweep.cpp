@@ -8,6 +8,7 @@
 
 #include "analysis/compose.h"
 #include "app/compose_models.h"
+#include "app/early_send.h"
 #include "core/dynamic_pipeline.h"
 #include "core/fused_pipeline.h"
 #include "core/layered_path.h"
@@ -539,7 +540,103 @@ void sweep_word_family(compose_sweep_report& rep) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The stack's own graphs: the loops the data paths run, outside the flow
+// graphs the engine gates.
+
+// One linear part over the whole representative message.
+std::vector<analysis::part_info> whole_message() {
+    return {{0, core::plan_parts(compose_marshalled_bytes).total_bytes}};
+}
+
+template <typename Framing>
+constexpr const char* wire_label() {
+    return Framing::trailer_bytes != 0 ? "/v3" : "/v2";
+}
+
+// receive_request: one linear fused pass over the whole body.
+template <typename Cipher, typename Framing>
+analysis::stage_graph request_graph() {
+    analysis::stage_graph g;
+    g.name = std::string("request/") + cipher_label<Cipher>() +
+             wire_label<Framing>();
+    g.site = "app/receive_path.h:receive_request";
+    g.side = analysis::graph_side::receive;
+    g.trailer_reserved_bytes = Framing::trailer_bytes;
+    g.parts = whole_message();
+    add_loop_nodes<typename Framing::receive_loop>(g, 0);
+    return g;
+}
+
+// The layered baselines: one node per separate pass over the message
+// (send: marshal, cipher, tcp_send copy, tcp_output checksum; receive:
+// checksum, cipher, unmarshal).  The fused-only rules do not apply.
+template <typename Cipher, typename Framing>
+analysis::stage_graph layered_graph(bool receive) {
+    using analysis::footprint_of;
+    analysis::stage_graph g;
+    g.name = std::string("layered/") + cipher_label<Cipher>() +
+             wire_label<Framing>() + (receive ? "/receive" : "/send");
+    g.site = receive ? "app/receive_path.h:receive_reply_layered"
+                     : "app/send_path.h:send_message_layered";
+    g.side = receive ? analysis::graph_side::receive
+                     : analysis::graph_side::send;
+    g.kind = analysis::pipeline_kind::layered;
+    g.trailer_reserved_bytes = Framing::trailer_bytes;
+    if (receive) {
+        g.nodes = {{footprint_of<core::checksum_tap8>()},
+                   {footprint_of<typename Framing::open_stage>()},
+                   {footprint_of<core::xdr_decode_stage>()}};
+    } else {
+        g.nodes = {{footprint_of<core::xdr_encode_stage>()},
+                   {footprint_of<typename Framing::seal_stage>()},
+                   {footprint_of<core::opaque_stage>()},
+                   {footprint_of<core::checksum_tap8>()}};
+    }
+    return g;
+}
+
 }  // namespace
+
+std::vector<analysis::stage_graph> stack_graphs() {
+    using plain = plain_framing<crypto::safer_k64>;
+    using aead = aead_framing<crypto::aead_cipher>;
+    using early = early_sender<mem_t, crypto::safer_simplified>;
+    const secure_params classic{};
+    secure_params secure;
+    secure.enabled = true;
+
+    // early_sender::prepare runs the send plan's B,C,A parts into staging;
+    // try_flush copies the staged image into the ring front to back.
+    analysis::stage_graph prepare;
+    prepare.name = "early/safer-simplified/prepare";
+    prepare.site = "app/early_send.h:early_sender::prepare";
+    prepare.out_of_order_parts = true;
+    prepare.parts = compose_parts(true);
+    add_loop_nodes<early::prepare_loop>(prepare, 0);
+    analysis::stage_graph flush;
+    flush.name = "early/safer-simplified/flush";
+    flush.site = "app/early_send.h:early_sender::try_flush";
+    flush.parts = whole_message();
+    add_loop_nodes<early::flush_loop>(flush, 0);
+
+    return {
+        flow_send_graph<crypto::safer_k64>(classic, compose_tap::none, 0),
+        flow_receive_graph<crypto::safer_k64>(classic, compose_tap::none, 0),
+        flow_send_graph<crypto::aead_cipher>(secure, compose_tap::none, 0),
+        flow_receive_graph<crypto::aead_cipher>(secure, compose_tap::none, 0),
+        request_graph<crypto::safer_k64, plain>(),
+        request_graph<crypto::aead_cipher, aead>(),
+        std::move(prepare),
+        std::move(flush),
+        layered_graph<crypto::safer_k64, plain>(false),
+        layered_graph<crypto::safer_k64, plain>(true),
+        layered_graph<crypto::aead_cipher, aead>(false),
+        layered_graph<crypto::aead_cipher, aead>(true),
+        // The word-filter baseline bench_ablation_unit_size runs.
+        word_chain_graph(make_cipher<crypto::safer_simplified>(), false, true),
+    };
+}
 
 compose_sweep_report run_compose_sweep() {
     compose_sweep_report rep;

@@ -1,6 +1,12 @@
-// ilp-lint --compose: the composition-space sweep.
+// The two graph sets ilp-lint checks.
 //
-// Enumerates the cross-product of runtime-assemblable flow graphs — every
+// stack_graphs() lists the compositions the stack runs: the flow send and
+// receive graphs the engine gates, the request receive loop, early send's
+// two loops, the layered baselines and the word-chain baseline — each built
+// from the loop or stage types the code instantiates.
+//
+// run_compose_sweep() (ilp-lint --compose) sweeps the composition space.
+// It enumerates the cross-product of runtime-assemblable flow graphs — every
 // cipher × wire framing (v2/v3) × optional tap (inet2/crc32) × schedule
 // (send B,C,A / send linear / receive), plus the word-filter chains — and
 // holds each composer verdict to the executable truth:
@@ -20,7 +26,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/graph.h"
+
 namespace ilp::app {
+
+std::vector<analysis::stage_graph> stack_graphs();
 
 struct compose_case {
     std::string name;           // graph name (cipher/framing/tap/schedule)

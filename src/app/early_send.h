@@ -21,6 +21,7 @@
 #pragma once
 
 #include <optional>
+#include <type_traits>
 
 #include "app/path_mode.h"
 #include "buffer/byte_buffer.h"
@@ -36,6 +37,11 @@ namespace ilp::app {
 template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
 class early_sender {
 public:
+    // The two fused loops, named so the lint's early-send graphs
+    // (app/compose_sweep.cpp:stack_graphs) are read from the loops that run.
+    using prepare_loop = core::fused_pipeline<core::encrypt_stage<Cipher>>;
+    using flush_loop = core::fused_pipeline<core::checksum_tap8>;
+
     early_sender(const Mem& mem, const Cipher& cipher,
                  std::size_t max_wire_bytes)
         : mem_(mem), cipher_(&cipher), staging_(max_wire_bytes) {}
@@ -51,6 +57,7 @@ public:
         ILP_EXPECT(wire_bytes <= staging_.size());
         core::encrypt_stage<Cipher> encrypt(*cipher_);
         auto loop = core::make_pipeline(encrypt);
+        static_assert(std::is_same_v<decltype(loop), prepare_loop>);
         static_assert(!decltype(loop)::ordering_constrained);
         ILP_EXPECT(plan.well_formed() &&
                    plan.aligned_for(decltype(loop)::required_alignment));
@@ -77,6 +84,7 @@ public:
                 checksum::inet_accumulator acc;
                 core::checksum_tap8 tap(acc);
                 auto loop = core::make_pipeline(tap);
+                static_assert(std::is_same_v<decltype(loop), flush_loop>);
                 loop.run(mem_,
                          core::span_source(staging_.subspan(0, wire_bytes)),
                          core::ring_dest(dst));

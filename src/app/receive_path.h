@@ -141,6 +141,10 @@ tcp::rx_process_result receive_reply_ilp(const Mem& mem, const Keys& keys,
     core::checksum_tap8 tap(acc);  // over the ciphertext...
     auto dec = rx.decryptor();     // ...then decrypt
     auto loop = core::make_pipeline(tap, dec);
+    static_assert(std::is_same_v<decltype(loop),
+                                 typename decltype(framing)::receive_loop>,
+                  "the legality gate's receive graphs are read from "
+                  "receive_loop");
     // The two-phase split at reply_header_region is itself a part cut; it
     // must land on a cipher-block boundary (analyzer rule R3).
     static_assert(detail::reply_header_region %
@@ -323,6 +327,10 @@ tcp::rx_process_result receive_request(path_mode mode, const Mem& mem,
     if (mode == path_mode::ilp) {
         core::checksum_tap8 tap(acc);
         auto loop = core::make_pipeline(tap, dec);
+        static_assert(std::is_same_v<decltype(loop),
+                                     typename decltype(framing)::receive_loop>,
+                      "the lint's request graphs are read from "
+                      "receive_loop");
         loop.run(mem, src.slice(0, body), core::span_dest(staging.first(body)));
         counters.fused_loop_bytes += body;
     } else if constexpr (std::is_same_v<Wire, std::span<std::byte>>) {

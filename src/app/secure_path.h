@@ -154,6 +154,16 @@ struct plain_framing {
     static constexpr const char* receive_layered_span = "receive_layered";
     static constexpr const char* receive_request_span = "receive_request";
 
+    // The stages and fused loops this framing's ILP paths run: the sealer's
+    // cipher stage then the TCP checksum tap on send, the tap then the
+    // opener's decryptor on receive.  The paths static_assert their loops
+    // are exactly these types, and the gated flow graphs are read from them
+    // (compose_models.h:flow_graph).
+    using seal_stage = core::encrypt_stage<Cipher>;
+    using open_stage = core::decrypt_stage<Cipher>;
+    using send_loop = core::fused_pipeline<seal_stage, core::checksum_tap8>;
+    using receive_loop = core::fused_pipeline<core::checksum_tap8, open_stage>;
+
     const Cipher* cipher;
 
     // An empty v2 request passes through to the parser, which rejects it.
@@ -168,16 +178,14 @@ struct plain_framing {
                   const core::scatter_dest&, std::size_t) const {}
         void seal(std::span<std::byte>) const {}
 
-        core::encrypt_stage<Cipher> stage;
+        seal_stage stage;
     };
 
     struct opener {
         explicit opener(const plain_framing& f) : cipher(f.cipher) {}
 
         bool open(const const_ring_span&) const noexcept { return true; }
-        core::decrypt_stage<Cipher> decryptor() const {
-            return core::decrypt_stage<Cipher>(*cipher);
-        }
+        open_stage decryptor() const { return open_stage(*cipher); }
 
         // A bad header: checksum whatever the loop has not read yet.
         template <memsim::memory_policy Mem, typename Loop>
@@ -224,6 +232,12 @@ struct aead_framing {
     static constexpr const char* receive_request_span =
         "receive_request_secure";
 
+    // As plain_framing's, with the tag-accumulating AEAD stages.
+    using seal_stage = core::aead_encrypt_stage<Cipher>;
+    using open_stage = core::aead_decrypt_stage<Cipher>;
+    using send_loop = core::fused_pipeline<seal_stage, core::checksum_tap8>;
+    using receive_loop = core::fused_pipeline<core::checksum_tap8, open_stage>;
+
     const Cipher* key = nullptr;
     crypto::key_epoch epoch = 0;  // the epoch a sent trailer names
     crypto::keychain<Cipher>* window = nullptr;
@@ -261,7 +275,7 @@ struct aead_framing {
         }
 
         crypto::aead_tag_accumulator tag;  // declared before `stage`
-        core::aead_encrypt_stage<Cipher> stage;
+        seal_stage stage;
         crypto::key_epoch epoch;
     };
 
@@ -306,9 +320,7 @@ struct aead_framing {
             return cipher_ != nullptr;
         }
 
-        core::aead_decrypt_stage<Cipher> decryptor() {
-            return core::aead_decrypt_stage<Cipher>(*cipher_, tag_);
-        }
+        open_stage decryptor() { return open_stage(*cipher_, tag_); }
 
         // A failure discovered after decryption started: finish decrypting
         // the rest of the body into a discard destination so the tag is

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <optional>
+#include <type_traits>
 
 #include "app/path_mode.h"
 #include "app/secure_path.h"
@@ -67,6 +68,9 @@ std::uint16_t fill_message_ilp(const Mem& mem, const Keys& keys,
     typename decltype(framing)::sealer tx(framing);
     core::checksum_tap8 tap(acc);
     auto loop = core::make_pipeline(tx.stage, tap);
+    static_assert(std::is_same_v<decltype(loop),
+                                 typename decltype(framing)::send_loop>,
+                  "the legality gate's send graphs are read from send_loop");
     static_assert(!decltype(loop)::ordering_constrained,
                   "out-of-order parts require unconstrained stages");
     // Construction-time fusion-legality guard (analyzer rule R3): every

@@ -48,8 +48,8 @@ public:
     static constexpr std::size_t required_alignment = std::max(
         {std::size_t{1}, analysis::footprint_of<Stages>().alignment...});
 
-    // The composition's footprints in fusion order, for the analyzer and
-    // the per-layer pipeline registrations.
+    // The composition's footprints in fusion order: the nodes of the stage
+    // graphs the analyzer checks (app/compose_models.h).
     static std::vector<analysis::footprint> footprints() {
         return {analysis::footprint_of<Stages>()...};
     }

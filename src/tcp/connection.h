@@ -14,8 +14,9 @@
 // The data manipulations themselves are *not* in this module: tcp_sender
 // accepts a payload filler (the application's ILP or layered send path) and
 // tcp_receiver hands the payload to a message processor (the application's
-// receive path) between the initial and final processing stages — the
-// three-stage decomposition of core/three_stage.h.
+// receive path) between its own two control stages — parse, demultiplex
+// and sequence check before; the checksum verdict, accept or reject after
+// (the paper's initial / manipulation / final decomposition).
 //
 // Everything is templated on the memory-access policy, so the same engine
 // runs natively (direct_memory) for wall-clock benchmarks and instrumented

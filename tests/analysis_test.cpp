@@ -1,7 +1,6 @@
 // Tests for the fusion-legality analyzer: the footprint IR, the paper's
-// applicability rules, the pipeline registry, and the runtime word-touch
-// auditor (positive on the real fused paths, negative on a seeded
-// double-reading stage).
+// applicability rules, and the runtime word-touch auditor (positive on the
+// real fused paths, negative on a seeded double-reading stage).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -9,9 +8,7 @@
 
 #include "analysis/check.h"
 #include "analysis/diagnostics.h"
-#include "analysis/registry.h"
 #include "analysis/touch_audit.h"
-#include "app/path_models.h"
 #include "app/touch_audits.h"
 #include "buffer/byte_buffer.h"
 #include "checksum/internet_checksum.h"
@@ -24,8 +21,6 @@
 #include "memsim/configs.h"
 #include "memsim/mem_policy.h"
 #include "memsim/touch_map.h"
-#include "rpc/pipeline_models.h"
-#include "tcp/pipeline_models.h"
 #include "util/rng.h"
 #include "xdr/xdr.h"
 
@@ -264,36 +259,6 @@ TEST(Checker, WarnsOnWordChainHandoffMismatch) {
     EXPECT_TRUE(
         has_rule(analysis::check_pipeline(m), "W1-word-handoff",
                  severity::warning));
-}
-
-// ---------------------------------------------------------------------------
-// Registry + the stack's own pipelines
-
-TEST(Registry, EveryRegisteredStackPipelineIsLegal) {
-    analysis::pipeline_registry registry;
-    std::vector<finding> at_registration;
-    const auto take = [&at_registration](std::vector<finding> f) {
-        at_registration.insert(at_registration.end(), f.begin(), f.end());
-    };
-    take(tcp::register_tcp_pipelines(registry));
-    take(rpc::register_rpc_pipelines(registry));
-    take(app::register_app_pipelines(registry));
-
-    EXPECT_GE(registry.models().size(), 10u);
-    EXPECT_EQ(error_count(at_registration), 0u);
-    EXPECT_EQ(error_count(registry.check_all()), 0u);
-}
-
-TEST(Registry, JsonReportIsWellFormedAndCountsMatch) {
-    analysis::pipeline_registry registry;
-    (void)rpc::register_rpc_pipelines(registry);
-    const std::vector<finding> findings = registry.check_all();
-    const std::string doc =
-        analysis::render_json(registry.models(), findings);
-    EXPECT_NE(doc.find("\"pipelines\""), std::string::npos);
-    EXPECT_NE(doc.find("\"findings\""), std::string::npos);
-    EXPECT_NE(doc.find("\"errors\": 0"), std::string::npos);
-    EXPECT_NE(doc.find("rpc-trailer-send"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

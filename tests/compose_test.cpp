@@ -1,20 +1,28 @@
 // Composition-legality engine tests: graph hashing, the symbolic composer's
 // verdicts (rules, offenders, trailer obligations, boundary geometry), the
-// verdict-caching gate, and the full `--compose` sweep the CI job runs.
+// verdict-caching gate, the stack-graph list ilp-lint checks, and the full
+// `--compose` sweep the CI job runs.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "analysis/compose.h"
+#include "analysis/diagnostics.h"
 #include "analysis/gate.h"
 #include "analysis/graph.h"
-#include "analysis/registry.h"
 #include "app/compose_models.h"
 #include "app/compose_sweep.h"
+#include "app/early_send.h"
 #include "core/stage.h"
 #include "crypto/aead.h"
 #include "crypto/safer_k64.h"
+#include "crypto/safer_simplified.h"
+#include "memsim/mem_policy.h"
+#include "util/json.h"
 
 namespace {
 
@@ -175,20 +183,6 @@ TEST(Gate, CachesVerdictsByHashAndRekeyInvalidates) {
     EXPECT_EQ(gate.stats().fallbacks, 1u);
 }
 
-TEST(RegistryDeathTest, DuplicateRegistrationAborts) {
-    analysis::pipeline_registry registry;
-    analysis::pipeline_model m;
-    m.name = "dup";
-    m.site = "tests/compose_test.cpp:first";
-    m.stages = {enc::footprint_decl};
-    m.exchange_unit_bytes = 8;
-    (void)registry.add(m);
-    analysis::pipeline_model second = m;
-    second.site = "tests/compose_test.cpp:second";
-    EXPECT_DEATH((void)registry.add(second),
-                 "duplicate pipeline registration 'dup'");
-}
-
 // An ad-hoc stage with no footprint declaration: composing it still works,
 // but the conservative default must be flagged so "legal" is not mistaken
 // for "verified".
@@ -248,6 +242,96 @@ TEST(FlowGraphs, EngineBuildersMatchTheGateContract) {
                                                 app::compose_tap::none, 0));
     EXPECT_FALSE(unfilled.legal);
     EXPECT_EQ(unfilled.rule, "R2-header-size");
+}
+
+// The graph a loop type stands for: `g` with its nodes replaced by the
+// loop's footprints.  graph_hash ignores name and site, so equal hashes
+// mean equal footprints, params and geometry.
+template <typename Loop>
+std::uint64_t hash_with_loop(analysis::stage_graph g) {
+    g.nodes.clear();
+    for (const analysis::footprint& fp : Loop::footprints()) {
+        g.nodes.push_back({fp, 0});
+    }
+    return analysis::graph_hash(g);
+}
+
+const analysis::stage_graph& graph_named(
+    const std::vector<analysis::stage_graph>& graphs, const std::string& name) {
+    for (const analysis::stage_graph& g : graphs) {
+        if (g.name == name) return g;
+    }
+    ADD_FAILURE() << "no stack graph named " << name;
+    return graphs.front();
+}
+
+TEST(StackGraphs, EveryGraphIsLegalAndUniquelyNamed) {
+    const std::vector<analysis::stage_graph> graphs = app::stack_graphs();
+    ASSERT_GE(graphs.size(), 10u);
+    std::set<std::string> names;
+    for (const analysis::stage_graph& g : graphs) {
+        EXPECT_TRUE(names.insert(g.name).second) << "duplicate " << g.name;
+        const analysis::verdict v = analysis::compose_and_check(g);
+        EXPECT_TRUE(v.legal) << g.name << ": " << v.rule << " on "
+                             << v.offender;
+    }
+}
+
+TEST(StackGraphs, JsonReportCountsMatch) {
+    std::vector<analysis::pipeline_model> models;
+    std::vector<analysis::finding> findings;
+    for (const analysis::stage_graph& g : app::stack_graphs()) {
+        analysis::verdict v = analysis::compose_and_check(g);
+        findings.insert(findings.end(), v.findings.begin(), v.findings.end());
+        models.push_back(std::move(v.composed));
+    }
+    std::size_t warnings = 0;
+    for (const analysis::finding& f : findings) {
+        if (f.sev == analysis::severity::warning) ++warnings;
+    }
+    // The word-chain baseline's W1 word-handoff warning is the paper's
+    // critique of that scheme, so the report is never warning-free.
+    EXPECT_GT(warnings, 0u);
+
+    const std::optional<json::value> doc =
+        json::parse(analysis::render_json(models, findings));
+    ASSERT_TRUE(doc.has_value());
+    ASSERT_NE(doc->find("pipelines"), nullptr);
+    ASSERT_NE(doc->find("findings"), nullptr);
+    EXPECT_EQ(doc->find("pipelines")->as_array()->size(), models.size());
+    EXPECT_EQ(doc->find("findings")->as_array()->size(), findings.size());
+    EXPECT_EQ(doc->number_at("errors", -1), 0.0);
+    EXPECT_EQ(doc->number_at("warnings", -1),
+              static_cast<double>(warnings));
+}
+
+TEST(StackGraphs, NodesAreTheLoopTypesThePathsRun) {
+    const std::vector<analysis::stage_graph> graphs = app::stack_graphs();
+
+    // Early send: the two loops early_sender instantiates.
+    using early =
+        app::early_sender<memsim::direct_memory, crypto::safer_simplified>;
+    const analysis::stage_graph& prepare =
+        graph_named(graphs, "early/safer-simplified/prepare");
+    const analysis::stage_graph& flush =
+        graph_named(graphs, "early/safer-simplified/flush");
+    EXPECT_EQ(analysis::graph_hash(prepare),
+              hash_with_loop<early::prepare_loop>(prepare));
+    EXPECT_EQ(analysis::graph_hash(flush),
+              hash_with_loop<early::flush_loop>(flush));
+
+    // Flow graphs: the framing's loops, which fill_message_ilp and
+    // receive_reply_ilp static_assert they run.
+    using plain = app::plain_framing<crypto::safer_k64>;
+    using aead = app::aead_framing<crypto::aead_cipher>;
+    const analysis::stage_graph& v2_send =
+        graph_named(graphs, "flow/safer-k64/v2/tap-none/send-bca");
+    const analysis::stage_graph& v3_receive =
+        graph_named(graphs, "flow/aead/v3/tap-none/receive");
+    EXPECT_EQ(analysis::graph_hash(v2_send),
+              hash_with_loop<plain::send_loop>(v2_send));
+    EXPECT_EQ(analysis::graph_hash(v3_receive),
+              hash_with_loop<aead::receive_loop>(v3_receive));
 }
 
 TEST(ComposeSweep, CoversTheSpaceWithZeroMiscomputations) {

@@ -1,19 +1,22 @@
-// ilp-lint — fusion-legality linter for every pipeline the stack registers.
+// ilp-lint — fusion-legality linter for every composition the stack runs.
 //
-// Walks the pipeline registry (populated by the TCP, RPC and application
-// layers), runs the paper's applicability rules over each composition, and
-// reports compiler-style diagnostics.  Exit status is the CI contract:
-// 0 when no error-severity finding exists, 1 otherwise.
+// Composes and checks each graph of app::stack_graphs() — built from the
+// fused-loop and stage types the data paths instantiate, with the same
+// builders the engine's legality gate uses — runs the paper's applicability
+// rules over each composition, and reports compiler-style diagnostics.
+// Exit status is the CI contract: 0 when no error-severity finding exists,
+// 1 otherwise.
 //
-//   ilp-lint             text diagnostics over all registered pipelines
+//   ilp-lint             text diagnostics over every stack graph
 //   ilp-lint --json      machine-readable report (findings + inventory)
-//   ilp-lint --list      inventory only: every pipeline and its stages
+//   ilp-lint --list      inventory only: every composed graph and its stages
 //   ilp-lint --audit     additionally run the word-touch audits (the
 //                        dynamic exactly-once check) on the fused
 //                        send/receive paths under the memory simulator
 //   ilp-lint --sweep=N   additionally check part geometry for every
-//                        marshalled size up to N bytes against the send
-//                        plan (plan_parts), catching torn-unit sizes
+//                        marshalled size up to N bytes against the composed
+//                        flow send graph (plan_parts), catching torn-unit
+//                        sizes; a sweep that checks no size is an error
 //   ilp-lint --compose   additionally sweep the runtime composition space:
 //                        every cipher × framing × tap × schedule graph is
 //                        composed, checked, and (where executable) run both
@@ -25,17 +28,15 @@
 #include <string>
 #include <vector>
 
+#include "analysis/compose.h"
 #include "analysis/diagnostics.h"
-#include "analysis/registry.h"
+#include "app/compose_models.h"
 #include "app/compose_sweep.h"
-#include "app/path_models.h"
 #include "app/touch_audits.h"
 #include "core/message_plan.h"
 #include "crypto/aead.h"
 #include "crypto/kdf.h"
 #include "crypto/safer_k64.h"
-#include "rpc/pipeline_models.h"
-#include "tcp/pipeline_models.h"
 
 // GCC 12 false-positives -Wrestrict on inlined std::string concatenation
 // (gcc bug 105329), same as analysis/diagnostics.cpp.
@@ -47,18 +48,10 @@ namespace {
 
 using namespace ilp;
 
-void register_builtin_pipelines(analysis::pipeline_registry& registry) {
-    // Registration findings are discarded here; check_all() re-derives the
-    // complete set so the report covers every model exactly once.
-    (void)tcp::register_tcp_pipelines(registry);
-    (void)rpc::register_rpc_pipelines(registry);
-    (void)app::register_app_pipelines(registry);
-}
-
-void print_inventory(const analysis::pipeline_registry& registry) {
+void print_inventory(const std::vector<analysis::pipeline_model>& models) {
     const char* kind_names[] = {"fused", "word_chain", "layered"};
-    for (const analysis::pipeline_model& m : registry.models()) {
-        std::printf("%-24s %-10s Le=%-3zu %s\n", m.name.c_str(),
+    for (const analysis::pipeline_model& m : models) {
+        std::printf("%-36s %-10s Le=%-3zu %s\n", m.name.c_str(),
                     kind_names[static_cast<int>(m.kind)],
                     m.exchange_unit_bytes, m.site.c_str());
         for (const analysis::footprint& fp : m.stages) {
@@ -70,29 +63,29 @@ void print_inventory(const analysis::pipeline_registry& registry) {
                         fp.aux_table_bytes != 0 ? " tables" : "");
         }
     }
-    std::printf("%zu pipelines registered\n", registry.models().size());
+    std::printf("%zu stack graphs\n", models.size());
 }
 
 // Geometry sweep: plan_parts() must produce a legal B,C,A plan for every
 // message size the marshaller can emit.  A regression that breaks the
 // padding math shows up here long before a runtime assertion does.
+// `checked` counts the sizes swept; zero is itself an error finding,
+// because an empty sweep proves nothing.
 std::vector<analysis::finding> sweep_plans(
-    const analysis::pipeline_registry& registry, std::size_t max_bytes) {
+    const analysis::pipeline_model& send_model, std::size_t max_bytes,
+    std::size_t& checked) {
     std::vector<analysis::finding> out;
-    const analysis::pipeline_model* send_model = nullptr;
-    for (const analysis::pipeline_model& m : registry.models()) {
-        if (m.name == "app-send-ilp") send_model = &m;
-    }
-    if (send_model == nullptr) return out;
+    checked = 0;
     for (std::size_t marshalled = core::encryption_header_bytes;
          marshalled <= max_bytes; marshalled += 4) {
+        ++checked;
         const core::message_plan plan = core::plan_parts(marshalled);
         std::vector<analysis::part_info> parts;
         for (const core::message_part& p : plan.ilp_order()) {
             if (!p.empty()) parts.push_back({p.offset, p.len});
         }
         std::vector<analysis::finding> f =
-            analysis::check_part_geometry(*send_model, parts);
+            analysis::check_part_geometry(send_model, parts);
         for (analysis::finding& one : f) {
             one.message += " (marshalled size " + std::to_string(marshalled) +
                            " in sweep)";
@@ -100,11 +93,20 @@ std::vector<analysis::finding> sweep_plans(
         }
         if (!plan.well_formed()) {
             out.push_back({analysis::severity::error, "R3-granularity",
-                           send_model->site, send_model->name,
+                           send_model.site, send_model.name,
                            "plan_parts(" + std::to_string(marshalled) +
                                ") produced a malformed plan",
                            {}});
         }
+    }
+    if (checked == 0) {
+        out.push_back({analysis::severity::error, "S0-empty-sweep",
+                       send_model.site, send_model.name,
+                       "--sweep=" + std::to_string(max_bytes) +
+                           " checked no marshalled size (the smallest is " +
+                           std::to_string(core::encryption_header_bytes) +
+                           " bytes)",
+                       {}});
     }
     return out;
 }
@@ -254,19 +256,30 @@ int main(int argc, char** argv) {
         }
     }
 
-    analysis::pipeline_registry registry;
-    register_builtin_pipelines(registry);
+    std::vector<analysis::pipeline_model> models;
+    std::vector<analysis::finding> findings;
+    for (const analysis::stage_graph& g : app::stack_graphs()) {
+        analysis::verdict v = analysis::compose_and_check(g);
+        findings.insert(findings.end(), v.findings.begin(), v.findings.end());
+        models.push_back(std::move(v.composed));
+    }
 
     if (list) {
-        print_inventory(registry);
+        print_inventory(models);
         return 0;
     }
 
-    std::vector<analysis::finding> findings = registry.check_all();
     if (sweep_bytes > 0) {
+        const analysis::verdict send = analysis::compose_and_check(
+            app::flow_send_graph<crypto::safer_k64>({}, app::compose_tap::none,
+                                                    0));
+        std::size_t checked = 0;
         std::vector<analysis::finding> swept =
-            sweep_plans(registry, sweep_bytes);
+            sweep_plans(send.composed, sweep_bytes, checked);
         findings.insert(findings.end(), swept.begin(), swept.end());
+        std::fprintf(json ? stderr : stdout,
+                     "sweep: %zu marshalled size(s) checked against %s\n",
+                     checked, send.composed.name.c_str());
     }
     if (audit) {
         std::vector<analysis::finding> audited = run_audits();
@@ -278,9 +291,9 @@ int main(int argc, char** argv) {
 
     std::size_t errors = 0;
     if (json) {
-        std::string doc = render_json(registry.models(), findings);
+        std::string doc = render_json(models, findings);
         if (compose) {
-            // Wrap: {"lint": <registry doc>, "compose": <sweep doc>}.
+            // Wrap: {"lint": <lint doc>, "compose": <sweep doc>}.
             doc = "{\n  \"lint\": " + doc + ",\n  \"compose\": " +
                   render_compose_json(compose_report) + "\n}";
         }
