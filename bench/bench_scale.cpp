@@ -89,9 +89,6 @@ fleet_config fleet10k(std::uint32_t rate_permyriad) {
                 fc.forward_faults.drop_probability = 1.0;
                 fc.deadline_us = 10'000;
                 break;
-            case 11:  // illegal crc32 tap -> legality-gate demotion
-                fc.tap = ilp::app::compose_tap::crc32;
-                break;
             default:
                 break;
         }
@@ -305,11 +302,6 @@ int main(int argc, char** argv) {
         report.metric("fleet.deadline_exceeded",
                       static_cast<double>(traced.deadline_exceeded), "count",
                       obs::direction::lower_is_better);
-        report.metric(
-            "fleet.fallbacks",
-            static_cast<double>(
-                traced.metrics.counter("analysis.gate.fallbacks")),
-            "count", obs::direction::lower_is_better);
         report.histogram_metric("fleet.flow_latency", traced.flow_latency,
                                 "us");
         report.metric("obs.trace.sampled_flows",

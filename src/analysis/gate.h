@@ -1,12 +1,12 @@
 // Legality gate — the engine's runtime entry into the composer.
 //
-// engine::shard calls `check()` at flow setup and again on every rekey or
-// policy change.  Verdicts are cached by graph hash, so the steady-state
-// cost of gating is one hash of the stage graph; a rekey that changes an
-// epoch-relevant parameter changes the hash and forces a fresh
-// compose_and_check.  Flows whose graph is verified illegal are not run
-// fused — the caller demotes them to the layered path and records the
-// demotion with `count_fallback()`, surfaced as `analysis.gate.fallbacks`.
+// engine::shard calls `check()` once per side when it opens an ILP flow,
+// on the graphs of the fused loops the flow will run.  Verdicts are cached
+// by graph hash, so the steady-state cost of gating is one hash of the
+// stage graph.  Every flow the engine can build composes a legal graph, so
+// the shard treats an illegal verdict as a broken contract, not as a path
+// choice.  A flow that recomposed mid-run would call `check()` again at the
+// point where it recomposes.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,9 @@ namespace ilp::analysis {
 struct gate_stats {
     std::uint64_t checks = 0;      // check() calls
     std::uint64_t cache_hits = 0;  // served from the verdict cache
-    std::uint64_t fallbacks = 0;   // illegal graphs demoted to layered
+    // Always 0: the engine demotes no flow.  perfbench/ilpbench.cpp reads
+    // the field, so it goes with the next change to the benchmark.
+    std::uint64_t fallbacks = 0;
 };
 
 class legality_gate {
@@ -28,10 +30,6 @@ class legality_gate {
     // identical graph (same hash) was checked before.  The reference stays
     // valid until clear().
     const verdict& check(const stage_graph& g);
-
-    // Records that the caller demoted a flow to the layered path because
-    // its graph was verified illegal.
-    void count_fallback() noexcept { ++stats_.fallbacks; }
 
     const gate_stats& stats() const noexcept { return stats_; }
     std::size_t cached_verdicts() const noexcept { return cache_.size(); }

@@ -55,7 +55,6 @@ std::uint64_t graph_hash(const stage_graph& g) {
         mix_u64(h, n.fp.aux_table_bytes);
         mix_u64(h, n.fp.trailer_bytes);
         mix_byte(h, n.fp.declared ? 1 : 0);
-        mix_u64(h, n.param);
     }
     mix_u64(h, g.edges.size());
     for (const graph_edge& e : g.edges) {

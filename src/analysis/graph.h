@@ -1,16 +1,15 @@
-// Block-graph IR — runtime-assembled stage compositions as data.
+// Block-graph IR — stage compositions as data.
 //
-// Every composition the stack checks is a stage graph: the loops it
-// compiles in and the ones it *assembles at runtime* — a flow's
-// per-connection cipher choice, optional filter/tee taps, a framing decided
-// by version negotiation.  Every data-manipulation block is a
-// self-describing node — its footprint (granularity, alignment, ordering
-// and header-size constraints, table working set, trailer obligation) plus
-// the epoch-relevant parameters that decide when a cached legality verdict
-// must die.  The symbolic composer (compose.h) folds a graph's footprints
-// into one pipeline_model and runs the paper's applicability rules on the
-// composition; the legality gate (gate.h) caches those verdicts by
-// graph_hash so the per-flow cost at connection setup is a map lookup.
+// Every composition the stack checks is a stage graph: the fused loops the
+// data paths run (read from their loop types, app/compose_models.h) and the
+// cipher × framing × tap × schedule variants the `ilp-lint --compose` sweep
+// assembles.  Every data-manipulation block is a self-describing node — its
+// footprint (granularity, alignment, ordering and header-size constraints,
+// table working set, trailer obligation).  The symbolic composer
+// (compose.h) folds a graph's footprints into one pipeline_model and runs
+// the paper's applicability rules on the composition; the legality gate
+// (gate.h) caches those verdicts by graph_hash so the per-flow cost at
+// connection setup is a map lookup.
 #pragma once
 
 #include <cstdint>
@@ -22,16 +21,9 @@
 
 namespace ilp::analysis {
 
-// One self-describing data-manipulation block in a runtime-assembled graph.
+// One self-describing data-manipulation block of a stage graph.
 struct block_node {
     footprint fp;
-
-    // Epoch-/key-relevant block parameter (key epoch for cipher blocks,
-    // policy revision for filters, ...).  It is folded into graph_hash(),
-    // so a rekey or policy change produces a *different* hash and a cached
-    // verdict can never outlive the key material it was issued for — the
-    // gate's cache-invalidation contract.
-    std::uint64_t param = 0;
 };
 
 // Which direction of the data path the graph describes.  The side does not
@@ -72,10 +64,10 @@ struct stage_graph {
 };
 
 // Order-sensitive FNV-1a fingerprint of the whole graph: structure (nodes,
-// edges, kind, side), every node's footprint fields *and* its
-// epoch-relevant param, the framing facts and the part geometry.  Two
-// graphs hash equal only if the composer would reach the same verdict for
-// both — the key the legality gate caches verdicts under.
+// edges, kind, side), every node's footprint fields, the framing facts and
+// the part geometry.  Two graphs hash equal only if the composer would
+// reach the same verdict for both — the key the legality gate caches
+// verdicts under.
 std::uint64_t graph_hash(const stage_graph& g);
 
 // Topological order of node indices (deterministic: ready nodes are taken

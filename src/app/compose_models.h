@@ -1,14 +1,15 @@
-// Runtime-assembled flow graphs — the app's input to the legality engine.
+// Flow graphs — the app's input to the legality engine.
 //
-// A flow's stage composition is assembled at run time from its config
-// (cipher, wire framing, optional observation tap, side), described as an
-// analysis::stage_graph, and handed to analysis::legality_gate before any
-// fused loop runs.  This header builds those graphs, reading each graph's
-// cipher and checksum nodes from the fused-loop types the selected framing
-// names (secure_path.h: send_loop / receive_loop) — the same types the data
-// paths static_assert they run.  The same builders drive `ilp-lint`, both
-// its stack-graph list and its --compose sweep (compose_sweep.h), so the
-// graph the engine gates is byte-for-byte the graph CI verified.
+// A flow's stage composition follows from its config (cipher, wire
+// framing, side), described as an analysis::stage_graph and handed to
+// analysis::legality_gate before any fused loop runs.  This header builds
+// those graphs, reading each graph's cipher and checksum nodes from the
+// fused-loop types the selected framing names (secure_path.h: send_loop /
+// receive_loop) — the same types the data paths static_assert they run.
+// The same builders drive `ilp-lint`, both its stack-graph list and its
+// --compose sweep (compose_sweep.h), so the graph the engine gates is
+// byte-for-byte the graph CI verified.  Only the sweep splices in an extra
+// observe-only tap; no data path runs one.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +30,11 @@
 
 namespace ilp::app {
 
-// Optional observe-only tap a flow can splice into its data path.  inet2
-// forces the loop down to the checksum's natural 2-byte unit (legal
-// anywhere); crc32 is ordering-constrained, so it is legal only on
-// linearly-scheduled sides — splicing it into a B,C,A send path is the
-// canonical verified-illegal composition the gate demotes to layered.
+// The sweep's optional observe-only tap axis.  inet2 forces the loop down
+// to the checksum's natural 2-byte unit (legal anywhere); crc32 is
+// ordering-constrained, so it is legal only on linearly-scheduled sides —
+// splicing it into a B,C,A send loop is the canonical verified-illegal
+// composition.
 enum class compose_tap : std::uint8_t { none, inet2, crc32 };
 
 inline const char* to_string(compose_tap t) noexcept {
@@ -82,9 +83,9 @@ inline std::vector<analysis::part_info> compose_parts(bool out_of_order) {
 
 inline analysis::block_node tap_node(compose_tap t) {
     if (t == compose_tap::crc32) {
-        return {core::crc32_tap::footprint_decl, 0};
+        return {core::crc32_tap::footprint_decl};
     }
-    return {core::checksum_tap2::footprint_decl, 0};
+    return {core::checksum_tap2::footprint_decl};
 }
 
 template <typename Cipher>
@@ -109,32 +110,29 @@ constexpr const char* cipher_label() {
 }
 
 // Appends one fused loop type's nodes, read from its footprints() in fusion
-// order.  The epoch param rides on the loop's transforming stage (its
-// cipher; checksum taps only observe), so a rekey changes the graph hash.
+// order.
 template <typename Loop>
-void add_loop_nodes(analysis::stage_graph& g, std::uint64_t epoch) {
+void add_loop_nodes(analysis::stage_graph& g) {
     for (const analysis::footprint& fp : Loop::footprints()) {
-        g.nodes.push_back({fp, fp.writes_per_unit != 0 ? epoch : 0});
+        g.nodes.push_back({fp});
     }
 }
 
 template <typename Framing>
-void add_framing_nodes(analysis::stage_graph& g, bool receive,
-                       std::uint64_t epoch) {
+void add_framing_nodes(analysis::stage_graph& g, bool receive) {
     if (receive) {
-        add_loop_nodes<typename Framing::receive_loop>(g, epoch);
+        add_loop_nodes<typename Framing::receive_loop>(g);
     } else {
-        add_loop_nodes<typename Framing::send_loop>(g, epoch);
+        add_loop_nodes<typename Framing::send_loop>(g);
     }
 }
 
-// Builds the stage graph for one flow data path.  `epoch` is the
-// epoch-relevant parameter folded into the graph hash: a rekey produces a
-// new hash, so the gate's verdict cache cannot serve a stale verdict across
-// a key change.
+// Builds the stage graph for one data path, with the sweep's optional tap.
+// The key epoch is not a node input: a rekey swaps key material inside the
+// same loop, so the graph and its verdict do not change.
 template <typename Cipher>
 analysis::stage_graph flow_graph(const secure_params& params, compose_tap tap,
-                                 compose_schedule sched, std::uint64_t epoch) {
+                                 compose_schedule sched) {
     const bool secure = secure_framing(params);
     analysis::stage_graph g;
     g.name = std::string("flow/") + cipher_label<Cipher>() + "/" +
@@ -155,38 +153,37 @@ analysis::stage_graph flow_graph(const secure_params& params, compose_tap tap,
     if constexpr (std::is_same_v<Cipher, crypto::rc4>) {
         // RC4 is no block_cipher, so no framing runs it; only the sweep
         // composes it, with its node placed here.
-        const analysis::block_node cipher{crypto::rc4_stage::footprint_decl,
-                                          epoch};
-        const analysis::block_node sum{core::checksum_tap8::footprint_decl, 0};
+        const analysis::block_node cipher{crypto::rc4_stage::footprint_decl};
+        const analysis::block_node sum{core::checksum_tap8::footprint_decl};
         g.nodes = receive ? std::vector{sum, cipher}
                           : std::vector{cipher, sum};
     } else if constexpr (crypto::aead_capable<Cipher>) {
         if (secure) {
-            add_framing_nodes<aead_framing<Cipher>>(g, receive, epoch);
+            add_framing_nodes<aead_framing<Cipher>>(g, receive);
         } else {
-            add_framing_nodes<plain_framing<Cipher>>(g, receive, epoch);
+            add_framing_nodes<plain_framing<Cipher>>(g, receive);
         }
     } else {
         // A non-AEAD cipher has only plain loops; under the v3 trailer
         // reservation the composer rejects them under R2.
-        add_framing_nodes<plain_framing<Cipher>>(g, receive, epoch);
+        add_framing_nodes<plain_framing<Cipher>>(g, receive);
     }
     // The optional extra tap goes last, on either side.
     if (tap != compose_tap::none) g.nodes.push_back(tap_node(tap));
     return g;
 }
 
+// The two graphs a flow's fused loops run: what the engine gates.
 template <typename Cipher>
-analysis::stage_graph flow_send_graph(const secure_params& params,
-                                      compose_tap tap, std::uint64_t epoch) {
-    return flow_graph<Cipher>(params, tap, compose_schedule::send_bca, epoch);
+analysis::stage_graph flow_send_graph(const secure_params& params) {
+    return flow_graph<Cipher>(params, compose_tap::none,
+                              compose_schedule::send_bca);
 }
 
 template <typename Cipher>
-analysis::stage_graph flow_receive_graph(const secure_params& params,
-                                         compose_tap tap,
-                                         std::uint64_t epoch) {
-    return flow_graph<Cipher>(params, tap, compose_schedule::receive, epoch);
+analysis::stage_graph flow_receive_graph(const secure_params& params) {
+    return flow_graph<Cipher>(params, compose_tap::none,
+                              compose_schedule::receive);
 }
 
 }  // namespace ilp::app

@@ -325,7 +325,7 @@ analysis::stage_graph word_chain_graph(const Cipher& cipher, bool with_xdr,
     g.kind = analysis::pipeline_kind::word_chain;
     g.parts = {{0, word_case_bytes}};
     for (const analysis::footprint& fp : core::chain_footprints(*head)) {
-        g.nodes.push_back({fp, 0});
+        g.nodes.push_back({fp});
     }
     return g;
 }
@@ -487,7 +487,7 @@ void sweep_block_family(compose_sweep_report& rep) {
         for (const compose_schedule sched : all_schedules) {
             for (const compose_tap tap : all_taps) {
                 const analysis::stage_graph g =
-                    flow_graph<Cipher>(params, tap, sched, 0);
+                    flow_graph<Cipher>(params, tap, sched);
                 const bool r1 = sched == compose_schedule::send_bca &&
                                 tap == compose_tap::crc32;
                 const bool r2 = v3 && !crypto::aead_capable<Cipher>;
@@ -510,7 +510,7 @@ void sweep_rc4_family(compose_sweep_report& rep) {
         for (const compose_schedule sched : all_schedules) {
             for (const compose_tap tap : all_taps) {
                 const analysis::stage_graph g =
-                    flow_graph<crypto::rc4>(params, tap, sched, 0);
+                    flow_graph<crypto::rc4>(params, tap, sched);
                 // rc4 itself is ordering-constrained, so *any* B,C,A
                 // schedule is an R1 rejection regardless of tap.
                 const bool r1 = sched == compose_schedule::send_bca;
@@ -564,7 +564,7 @@ analysis::stage_graph request_graph() {
     g.side = analysis::graph_side::receive;
     g.trailer_reserved_bytes = Framing::trailer_bytes;
     g.parts = whole_message();
-    add_loop_nodes<typename Framing::receive_loop>(g, 0);
+    add_loop_nodes<typename Framing::receive_loop>(g);
     return g;
 }
 
@@ -613,18 +613,18 @@ std::vector<analysis::stage_graph> stack_graphs() {
     prepare.site = "app/early_send.h:early_sender::prepare";
     prepare.out_of_order_parts = true;
     prepare.parts = compose_parts(true);
-    add_loop_nodes<early::prepare_loop>(prepare, 0);
+    add_loop_nodes<early::prepare_loop>(prepare);
     analysis::stage_graph flush;
     flush.name = "early/safer-simplified/flush";
     flush.site = "app/early_send.h:early_sender::try_flush";
     flush.parts = whole_message();
-    add_loop_nodes<early::flush_loop>(flush, 0);
+    add_loop_nodes<early::flush_loop>(flush);
 
     return {
-        flow_send_graph<crypto::safer_k64>(classic, compose_tap::none, 0),
-        flow_receive_graph<crypto::safer_k64>(classic, compose_tap::none, 0),
-        flow_send_graph<crypto::aead_cipher>(secure, compose_tap::none, 0),
-        flow_receive_graph<crypto::aead_cipher>(secure, compose_tap::none, 0),
+        flow_send_graph<crypto::safer_k64>(classic),
+        flow_receive_graph<crypto::safer_k64>(classic),
+        flow_send_graph<crypto::aead_cipher>(secure),
+        flow_receive_graph<crypto::aead_cipher>(secure),
         request_graph<crypto::safer_k64, plain>(),
         request_graph<crypto::aead_cipher, aead>(),
         std::move(prepare),

@@ -159,6 +159,7 @@ struct plain_framing {
     // opener's decryptor on receive.  The paths static_assert their loops
     // are exactly these types, and the gated flow graphs are read from them
     // (compose_models.h:flow_graph).
+    using cipher_type = Cipher;
     using seal_stage = core::encrypt_stage<Cipher>;
     using open_stage = core::decrypt_stage<Cipher>;
     using send_loop = core::fused_pipeline<seal_stage, core::checksum_tap8>;
@@ -233,6 +234,7 @@ struct aead_framing {
         "receive_request_secure";
 
     // As plain_framing's, with the tag-accumulating AEAD stages.
+    using cipher_type = Cipher;
     using seal_stage = core::aead_encrypt_stage<Cipher>;
     using open_stage = core::aead_decrypt_stage<Cipher>;
     using send_loop = core::fused_pipeline<seal_stage, core::checksum_tap8>;

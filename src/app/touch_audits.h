@@ -11,6 +11,10 @@
 // round-trips the payload through the opposite real path so a cipher, plan
 // or tag bug fails loudly rather than producing a clean-but-wrong audit.
 //
+// Each outcome is labelled with the `stack_graphs()` name of the fused loop
+// it drove — the flow graph the engine gates for that loop — so a finding
+// points at a graph `ilp-lint --list` shows.
+//
 // `ilp-lint --audit` runs these as the dynamic half of the lint pass;
 // tests/analysis_test.cpp runs them plus a seeded double-reading stage that
 // the auditor must catch.
@@ -18,6 +22,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -36,12 +41,14 @@
 
 // The drivers run the real paths; include them last to keep the dependency
 // direction obvious (this header sits above the paths).
+#include "app/compose_models.h"
 #include "app/receive_path.h"
 #include "app/send_path.h"
 
 namespace ilp::app {
 
 struct audit_outcome {
+    std::string loop;  // stack_graphs() name of the fused loop audited
     std::vector<analysis::finding> findings;
     bool round_trip_ok = false;  // data survived the path; guards the audit
 };
@@ -57,10 +64,22 @@ inline rpc::reply_header audit_header(std::size_t payload_bytes) {
     return h;
 }
 
+template <typename Keys>
+using framing_of = decltype(as_framing(std::declval<const Keys&>()));
+
 // Trailer bytes of the framing `Keys` selects (0 for wire v2).
 template <typename Keys>
-constexpr std::size_t trailer_of =
-    decltype(as_framing(std::declval<const Keys&>()))::trailer_bytes;
+constexpr std::size_t trailer_of = framing_of<Keys>::trailer_bytes;
+
+// The name of the flow graph for the loop `Keys`'s framing runs on one side.
+template <typename Keys>
+std::string audited_loop(bool receive) {
+    using cipher = typename framing_of<Keys>::cipher_type;
+    secure_params params;
+    params.enabled = trailer_of<Keys> > 0;
+    return receive ? flow_receive_graph<cipher>(params).name
+                   : flow_send_graph<cipher>(params).name;
+}
 
 // An audit reply: a seeded payload and its wire image, built by the real
 // ILP fill in direct memory (unaudited — this is the fixture, not the
@@ -127,11 +146,11 @@ audit_outcome audit_fused_send(const Keys& keys,
     sys.set_touch_map(nullptr);
 
     audit_outcome out;
+    out.loop = detail::audited_loop<Keys>(false);
     out.findings = analysis::audit_touches(
         map,
         {{"msg-staging", 1, 0}, {"msg-payload", 1, 0}, {"wire", 0, 1}},
-        "src/app/send_path.h:fill_message_ilp",
-        detail::trailer_of<Keys> > 0 ? "app-send-secure-ilp" : "app-send-ilp");
+        "src/app/send_path.h:fill_message_ilp", out.loop);
     byte_buffer dest(payload_bytes);
     out.round_trip_ok = detail::receive_intact(
         memsim::direct_memory{}, keys, wire.span(), dest.span(),
@@ -157,11 +176,10 @@ audit_outcome audit_fused_receive(const Keys& keys,
     sys.set_touch_map(nullptr);
 
     audit_outcome out;
+    out.loop = detail::audited_loop<Keys>(true);
     out.findings = analysis::audit_touches(
         map, {{"wire", 1, 0}, {"reply-dest", 0, 1}},
-        "src/app/receive_path.h:receive_reply_ilp",
-        detail::trailer_of<Keys> > 0 ? "app-recv-secure-ilp"
-                                  : "app-recv-reply-ilp");
+        "src/app/receive_path.h:receive_reply_ilp", out.loop);
     out.round_trip_ok = intact;
     return out;
 }
@@ -202,16 +220,14 @@ audit_outcome audit_zero_copy_receive(const Keys& keys,
                                dest.span(), reply.payload.span());
     sys.set_touch_map(nullptr);
 
-    const char* pipeline = detail::trailer_of<Keys> > 0
-                               ? "app-recv-secure-zero-copy"
-                               : "app-recv-zero-copy";
     audit_outcome out;
+    out.loop = detail::audited_loop<Keys>(true);
     out.findings = analysis::audit_touches(
         map, {{"kernel-a", 1, 0}, {"kernel-b", 1, 0}, {"reply-dest", 0, 1}},
-        "src/app/receive_path.h:receive_reply_ilp", pipeline);
+        "src/app/receive_path.h:receive_reply_ilp", out.loop);
     const auto copies = analysis::audit_copy_count(
         map, payload_bytes, "src/app/receive_path.h:receive_reply_ilp",
-        pipeline);
+        out.loop);
     out.findings.insert(out.findings.end(), copies.begin(), copies.end());
     out.round_trip_ok = intact;
     return out;

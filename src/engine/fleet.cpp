@@ -181,7 +181,6 @@ void fleet_report::finalize() {
         in_flight_max = std::max(in_flight_max, s.pipe_in_flight_max);
         metrics.add("analysis.gate.checks", s.gate.checks);
         metrics.add("analysis.gate.cache_hits", s.gate.cache_hits);
-        metrics.add("analysis.gate.fallbacks", s.gate.fallbacks);
         metrics.add("engine.net.reply_packets_sent", s.reply_data.packets_sent);
         metrics.add("engine.net.reply_packets_delivered",
                     s.reply_data.packets_delivered);
@@ -201,7 +200,6 @@ void fleet_report::finalize() {
         metrics.add(prefix + "flows", s.flows);
         metrics.add(prefix + "completed", s.completed);
         metrics.add(prefix + "failed", s.failed);
-        metrics.add(prefix + "fallbacks", s.fallbacks);
         metrics.add(prefix + "elapsed_us", s.elapsed_us);
         metrics.add(prefix + "mem_cycles",
                     s.client_mem.cycles + s.server_mem.cycles);
@@ -260,8 +258,6 @@ std::string fleet_report_json(const fleet_report& report) {
         append_u64(out, s.completed);
         out += ",\"failed\":";
         append_u64(out, s.failed);
-        out += ",\"fallbacks\":";
-        append_u64(out, s.fallbacks);
         out += ",\"rekeys\":";
         append_u64(out, s.rekeys);
         out += ",\"elapsed_us\":";
@@ -275,13 +271,12 @@ std::string fleet_report_json(const fleet_report& report) {
     out += "]";
 
     // The black boxes: one flight-recorder dump per flow that failed
-    // explicitly or was demoted by the legality gate.  Healthy flows keep
-    // their recorders private — the dump is the failure-debugging artifact,
-    // not a per-flow firehose.
+    // explicitly.  Healthy flows keep their recorders private — the dump is
+    // the failure-debugging artifact, not a per-flow firehose.
     out += ",\"black_boxes\":[";
     bool first = true;
     for (const flow_outcome& o : report.flows) {
-        if (!o.failed_explicitly() && !o.composed_fallback) continue;
+        if (!o.failed_explicitly()) continue;
         if (!first) out += ",";
         first = false;
         out += "{\"flow\":";
@@ -290,9 +285,7 @@ std::string fleet_report_json(const fleet_report& report) {
         append_u64(out, o.shard);
         out += ",\"outcome\":\"";
         out += outcome_name(o);
-        out += "\",\"composed_fallback\":";
-        out += o.composed_fallback ? "true" : "false";
-        out += ",\"recorded\":";
+        out += "\",\"recorded\":";
         append_u64(out, o.black_box.recorded());
         out += ",\"events\":[";
         const std::vector<obs::flight_entry> entries = o.black_box.entries();

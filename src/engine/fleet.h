@@ -44,9 +44,7 @@ struct fleet_config {
     sim_time poll_step_us = 200;
     sim_time link_latency_us = 100;
     std::uint64_t key_seed = 0x22bb;
-    // Shared kernel-queue bound per pipe direction (0 = unbounded) and the
-    // per-flow fair-share cap inside it.
-    std::size_t kernel_queue_packets = 0;
+    // Per-flow fair-share cap inside each shared kernel queue (0 = off).
     std::size_t per_flow_queue_cap = 0;
     // Deterministic trace sampling (obs/sampler.h): which flows' spans the
     // installed tracer's ring keeps.  A pure function of (seed, flow id),
@@ -65,16 +63,15 @@ struct shard_summary {
     std::uint32_t shard = 0;
     std::uint32_t flows = 0;
     std::uint32_t completed = 0;
-    std::uint32_t failed = 0;     // explicit-failure taxonomy outcomes
-    std::uint32_t fallbacks = 0;  // gate demotions among this shard's flows
-    std::uint64_t rekeys = 0;     // server epoch advances, all flows
+    std::uint32_t failed = 0;  // explicit-failure taxonomy outcomes
+    std::uint64_t rekeys = 0;  // server epoch advances, all flows
     sim_time elapsed_us = 0;  // the shard clock's final reading
     net::pipe_stats reply_data;
     net::pipe_stats reply_ack;
     obs::mem_counters client_mem;  // zero under direct_memory
     obs::mem_counters server_mem;
-    // Composition-legality gate activity on this shard (setup + rekey
-    // checks, verdict-cache hits, demotions to the layered path).
+    // Composition-legality gate activity on this shard (one setup check
+    // per side of every ILP flow, verdict-cache hits).
     analysis::gate_stats gate;
     // Per-shard flow-latency sketch (log2 buckets over every finished
     // flow's elapsed_us) and the bounded slowest-flow identities: the O(1)
@@ -121,7 +118,7 @@ struct fleet_report {
 // JSON export of the fleet's observability state: per-shard rollups with
 // latency sketches, the fleet-wide top-k slowest flows, sampling coverage,
 // and a flight-recorder "black box" dump for every flow that failed
-// explicitly or was demoted by the legality gate.  `ilp-trace summarize
+// explicitly.  `ilp-trace summarize
 // --fleet` renders it; CI validates and archives it.
 std::string fleet_report_json(const fleet_report& report);
 bool write_fleet_report_json(const fleet_report& report,
@@ -152,10 +149,6 @@ fleet_report run_fleet(const fleet_config& cfg, MemFactory&& shard_mems) {
     opts.policy = cfg.policy;
     opts.drr_quantum_bytes = cfg.drr_quantum_bytes;
     opts.trace_sampler = cfg.trace_sampler;
-    opts.request_forward_queue_packets = cfg.kernel_queue_packets;
-    opts.request_reverse_queue_packets = cfg.kernel_queue_packets;
-    opts.reply_forward_queue_packets = cfg.kernel_queue_packets;
-    opts.reply_reverse_queue_packets = cfg.kernel_queue_packets;
 
     std::vector<std::unique_ptr<shard<Mem, Cipher>>> workers;
     workers.reserve(cfg.shards);
@@ -230,7 +223,6 @@ fleet_report run_fleet(const fleet_config& cfg, MemFactory&& shard_mems) {
             ++s.flows;
             if (o.completed) ++s.completed;
             if (o.failed_explicitly()) ++s.failed;
-            if (o.composed_fallback) ++s.fallbacks;
             s.rekeys += o.rekeys;
             report.flows.push_back(o);
         }

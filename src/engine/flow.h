@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "app/compose_models.h"
 #include "app/file_transfer.h"
 #include "app/path_mode.h"
 #include "net/datagram.h"
@@ -55,11 +54,6 @@ struct flow_config {
     // Test knob: derive the *client* keychain from a different secret, so a
     // key mismatch surfaces as explicit tag failures (never silent).
     std::uint64_t client_secret_override = 0;
-    // Optional observe-only tap spliced into the flow's composed stage
-    // graph.  The legality gate verifies the resulting composition at flow
-    // setup; a tap that makes the fused graph illegal (crc32 on the B,C,A
-    // send side) demotes the flow to the layered path.
-    app::compose_tap tap = app::compose_tap::none;
 };
 
 // Terminal record of one flow.  Exactly one of completed / gave_up /
@@ -93,11 +87,6 @@ struct flow_outcome {
     std::uint64_t tag_failures = 0;
     std::uint64_t epoch_skews = 0;
     std::uint64_t epoch_window_hits = 0;
-    // The legality gate verified this flow's composed graph illegal and
-    // demoted it to the layered path at setup.  Excluded from
-    // fleet_report::digest(): the demotion is policy, not transfer outcome,
-    // and the BENCH baselines predate it.
-    bool composed_fallback = false;
     // Did the deterministic trace sampler select this flow for span tracing?
     // Pure function of (sampler seed, flow id), so the sampled set is
     // invariant under shard count and threading.  Digest-excluded:
@@ -105,8 +94,8 @@ struct flow_outcome {
     bool trace_sampled = true;
     // Always-on flight recorder: the last obs::flight_recorder::capacity
     // protocol transitions, virtual-clock stamped.  Dumped as a JSON black
-    // box by fleet_report_json() when the flow failed explicitly or was
-    // demoted by the gate.  Digest-excluded.
+    // box by fleet_report_json() when the flow failed explicitly.
+    // Digest-excluded.
     obs::flight_recorder black_box;
 
     double throughput_mbps() const {

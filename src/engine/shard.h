@@ -173,35 +173,26 @@ public:
             client_sec.flow_secret = cfg.client_secret_override;
         }
 
-        // Composition-legality gate: the flow's runtime-assembled stage
-        // graphs (send and receive side) must be verified legal before any
-        // fused loop runs.  A verified-illegal graph — e.g. a crc32 tap on
-        // the B,C,A send schedule — demotes the flow to the layered path
-        // deterministically; the demotion is counted, never silent.
-        app::path_mode mode = cfg.mode;
-        if (mode == app::path_mode::ilp) {
-            const analysis::verdict& tx = gate_.check(
-                app::flow_send_graph<Cipher>(server_sec, cfg.tap, 0));
-            const analysis::verdict& rx = gate_.check(
-                app::flow_receive_graph<Cipher>(client_sec, cfg.tap, 0));
-            if (!tx.legal || !rx.legal) {
-                mode = app::path_mode::layered;
-                gate_.count_fallback();
-                e.cfg.mode = mode;
-                e.outcome.composed_fallback = true;
-                e.outcome.black_box.record(
-                    clock_.now(), obs::flight_event::composed_fallback);
-            }
+        // Composition-legality gate: the stage graphs of the fused loops an
+        // ILP flow runs (send and receive side) are verified once, at
+        // setup, before any of them runs.  Every flow the engine can build
+        // composes a legal graph; an illegal verdict is a broken contract.
+        if (cfg.mode == app::path_mode::ilp) {
+            const bool tx =
+                gate_.check(app::flow_send_graph<Cipher>(server_sec)).legal;
+            const bool rx =
+                gate_.check(app::flow_receive_graph<Cipher>(client_sec)).legal;
+            ILP_ENSURE(tx && rx);
         }
 
         e.server = std::make_unique<app::file_server<Mem, Cipher>>(
             server_mem_, e.server_cipher, clock_, request_link_.reverse(),
             reply_link_.forward(), tcp::mirrored(request_cfg), reply_cfg,
-            mode, store_, server_sec);
+            cfg.mode, store_, server_sec);
         e.client = std::make_unique<app::file_client<Mem, Cipher>>(
             client_mem_, e.client_cipher, clock_, request_link_.forward(),
             reply_link_.reverse(), request_cfg, tcp::mirrored(reply_cfg),
-            mode, cfg.retry, client_sec);
+            cfg.mode, cfg.retry, client_sec);
         bind_routes(e);
 
         rpc::file_request request;
@@ -347,7 +338,6 @@ private:
         sim_time started_at = 0;
         sched_state sched;
         std::uint64_t serviced_bytes = 0;
-        std::uint64_t seen_rekeys = 0;  // last epoch the gate re-verified at
         // Last counter values the flight recorder turned into events, so
         // each service visit records only the transitions since the last.
         std::uint64_t fr_retransmissions = 0;
@@ -435,24 +425,7 @@ private:
         ILP_ENSURE(ok);  // freshly allocated ports cannot conflict
     }
 
-    // Re-verify the composed send graph whenever the server advances its key
-    // epoch: the verdict cache is keyed by a hash that folds in the epoch
-    // parameter, so a rekey is exactly the event that invalidates the cached
-    // entry.  The graph *shape* is epoch-invariant, so a flow the gate
-    // admitted at setup must stay legal across rekeys — a flipped verdict
-    // here would be a gate bug, hence the hard contract.
-    void regate_on_rekey(flow_entry& e) {
-        if (!e.cfg.secure || e.cfg.mode != app::path_mode::ilp) return;
-        const std::uint64_t rekeys = e.server->secure_stats().rekeys;
-        if (rekeys == e.seen_rekeys) return;
-        e.seen_rekeys = rekeys;
-        const analysis::verdict& v = gate_.check(app::flow_send_graph<Cipher>(
-            secure_params_for(e.cfg), e.cfg.tap, rekeys));
-        ILP_ENSURE(v.legal);
-    }
-
     void service(flow_entry& e) {
-        regate_on_rekey(e);
         obs::scoped_flow flow_scope(e.id);
         scheduler_.begin_visit(e.sched, e.server->next_wire_bytes());
         drain(e);

@@ -11,7 +11,6 @@ const char* flight_event_name(flight_event ev) noexcept {
         case flight_event::rekey: return "rekey";
         case flight_event::tag_failure: return "tag_failure";
         case flight_event::epoch_skew: return "epoch_skew";
-        case flight_event::composed_fallback: return "composed_fallback";
         case flight_event::completed: return "completed";
         case flight_event::gave_up: return "gave_up";
         case flight_event::deadline_exceeded: return "deadline_exceeded";

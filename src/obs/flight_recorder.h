@@ -3,12 +3,11 @@
 // Every flow carries one of these — always on, a few hundred bytes, O(1)
 // per event — recording the coarse protocol transitions that explain an
 // outcome: connect, data segments, retransmissions, RPC retries, rekeys,
-// tag failures, epoch skews, legality-gate demotions and the terminal
-// outcome itself, each stamped with the shard's virtual clock.  When a flow
-// fails explicitly (the PR 1/6 taxonomy) or is demoted by the composition
-// gate, the recorder is dumped as that flow's JSON "black box" in the fleet
-// report, so a 10k-flow run explains its failures without anyone re-running
-// it under a tracer.
+// tag failures, epoch skews and the terminal outcome itself, each stamped
+// with the shard's virtual clock.  When a flow fails explicitly (gave up,
+// deadline, rejected request, no ports), the recorder is dumped as that
+// flow's JSON "black box" in the fleet report, so a 10k-flow run explains
+// its failures without anyone re-running it under a tracer.
 //
 // This is deliberately not the span tracer: spans are sampled and rich, the
 // flight recorder is universal and tiny.  The ring wraps — only the most
@@ -25,15 +24,14 @@
 namespace ilp::obs {
 
 enum class flight_event : std::uint8_t {
-    connect,            // request issued; arg = flow id
-    segment,            // scheduler-granted data segment; arg = wire bytes
-    retransmit,         // TCP retransmissions observed; arg = new count
-    rpc_retry,          // client re-issued the request; arg = new count
-    rekey,              // server advanced its key epoch; arg = new epoch
-    tag_failure,        // explicit AEAD tag rejection; arg = new count
-    epoch_skew,         // explicit epoch-skew rejection; arg = new count
-    composed_fallback,  // legality gate demoted the flow to layered
-    completed,          // terminal outcomes (arg = rpc retries at the end)
+    connect,      // request issued; arg = flow id
+    segment,      // scheduler-granted data segment; arg = wire bytes
+    retransmit,   // TCP retransmissions observed; arg = new count
+    rpc_retry,    // client re-issued the request; arg = new count
+    rekey,        // server advanced its key epoch; arg = new epoch
+    tag_failure,  // explicit AEAD tag rejection; arg = new count
+    epoch_skew,   // explicit epoch-skew rejection; arg = new count
+    completed,    // terminal outcomes (arg = rpc retries at the end)
     gave_up,
     deadline_exceeded,
     request_rejected,

@@ -5,10 +5,13 @@
 
 #include <array>
 #include <cstring>
+#include <set>
+#include <string>
 
 #include "analysis/check.h"
 #include "analysis/diagnostics.h"
 #include "analysis/touch_audit.h"
+#include "app/compose_sweep.h"
 #include "app/touch_audits.h"
 #include "buffer/byte_buffer.h"
 #include "checksum/internet_checksum.h"
@@ -320,6 +323,28 @@ TEST(TouchAudit, SecurePathsTouchBodyAndTrailerExactlyOnce) {
     for (const finding& f : zc.findings) {
         ADD_FAILURE() << analysis::render_text(f);
     }
+}
+
+// Every audit driver, under either framing, labels its findings with the
+// stack graph `ilp-lint --list` shows for the loop it drove.
+TEST(TouchAudit, EveryAuditLabelNamesAStackGraph) {
+    std::set<std::string> graphs;
+    for (const analysis::stage_graph& g : app::stack_graphs()) {
+        graphs.insert(g.name);
+    }
+    const crypto::safer_k64 cipher = test_cipher();
+    crypto::keychain<crypto::aead_cipher> window(7);
+    const app::aead_framing<crypto::aead_cipher> v3{
+        &window.current(), window.current_epoch(), &window, nullptr};
+    const app::audit_outcome audits[] = {
+        app::audit_fused_send(cipher), app::audit_fused_receive(cipher),
+        app::audit_zero_copy_receive(cipher), app::audit_fused_send(v3),
+        app::audit_fused_receive(v3), app::audit_zero_copy_receive(v3)};
+    for (const app::audit_outcome& a : audits) {
+        EXPECT_TRUE(graphs.contains(a.loop)) << a.loop;
+    }
+    EXPECT_EQ(audits[0].loop, "flow/safer-k64/v2/tap-none/send-bca");
+    EXPECT_EQ(audits[5].loop, "flow/aead/v3/tap-none/receive");
 }
 
 // A deliberately broken stage: processes its unit normally but re-reads the

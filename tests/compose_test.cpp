@@ -38,8 +38,8 @@ analysis::stage_graph linear_graph() {
     g.site = "tests/compose_test.cpp";
     g.side = analysis::graph_side::send;
     g.kind = analysis::pipeline_kind::fused;
-    g.nodes.push_back({enc::footprint_decl, 0});
-    g.nodes.push_back({core::checksum_tap8::footprint_decl, 0});
+    g.nodes.push_back({enc::footprint_decl});
+    g.nodes.push_back({core::checksum_tap8::footprint_decl});
     g.parts = {{0, 1024}};
     return g;
 }
@@ -56,13 +56,11 @@ TEST(GraphHash, DeterministicAndSensitiveToEveryVerdictInput) {
     const analysis::stage_graph b = linear_graph();
     EXPECT_EQ(analysis::graph_hash(a), analysis::graph_hash(b));
 
-    // The epoch-relevant node parameter is part of the hash: a rekey must
-    // produce a new cache key.
-    analysis::stage_graph rekeyed = linear_graph();
-    rekeyed.nodes[0].param = 1;
-    EXPECT_NE(analysis::graph_hash(a), analysis::graph_hash(rekeyed));
-
-    // So are the framing facts and the geometry.
+    // The node footprints are part of the hash, and so are the framing
+    // facts and the geometry.
+    analysis::stage_graph retyped = linear_graph();
+    retyped.nodes[0] = {aead_enc::footprint_decl};
+    EXPECT_NE(analysis::graph_hash(a), analysis::graph_hash(retyped));
     analysis::stage_graph framed = linear_graph();
     framed.trailer_reserved_bytes = 8;
     EXPECT_NE(analysis::graph_hash(a), analysis::graph_hash(framed));
@@ -91,10 +89,10 @@ TEST(Composer, ExplicitDagFoldsInTopologicalOrder) {
     analysis::stage_graph g;
     g.name = "test/diamond";
     g.site = "tests/compose_test.cpp";
-    g.nodes.push_back({core::checksum_tap8::footprint_decl, 0});  // 0
-    g.nodes.push_back({core::checksum_tap2::footprint_decl, 0});  // 1
-    g.nodes.push_back({core::opaque_stage::footprint_decl, 0});   // 2
-    g.nodes.push_back({enc::footprint_decl, 0});                  // 3
+    g.nodes.push_back({core::checksum_tap8::footprint_decl});  // 0
+    g.nodes.push_back({core::checksum_tap2::footprint_decl});  // 1
+    g.nodes.push_back({core::opaque_stage::footprint_decl});   // 2
+    g.nodes.push_back({enc::footprint_decl});                  // 3
     g.edges = {{3, 0}, {3, 1}, {0, 2}, {1, 2}};
     g.parts = {{0, 1024}};
 
@@ -110,7 +108,7 @@ TEST(Composer, ExplicitDagFoldsInTopologicalOrder) {
 TEST(Composer, TrailerObligationMustMatchReservationExactly) {
     // AEAD obliges 8 trailer bytes; the v3 framing reserves 8: legal.
     analysis::stage_graph g = linear_graph();
-    g.nodes[0] = {aead_enc::footprint_decl, 0};
+    g.nodes[0] = {aead_enc::footprint_decl};
     g.trailer_reserved_bytes = 8;
     EXPECT_TRUE(analysis::compose_and_check(g).legal);
 
@@ -151,7 +149,7 @@ TEST(Composer, PartCutExactlyOnGranularityBoundaryIsLegal) {
     EXPECT_TRUE(has_rule(v, "R3-granularity"));
 }
 
-TEST(Gate, CachesVerdictsByHashAndRekeyInvalidates) {
+TEST(Gate, CachesVerdictsByGraphHash) {
     analysis::legality_gate gate;
     const analysis::stage_graph g = linear_graph();
 
@@ -167,20 +165,15 @@ TEST(Gate, CachesVerdictsByHashAndRekeyInvalidates) {
     EXPECT_EQ(gate.stats().cache_hits, 1u);
     EXPECT_EQ(gate.cached_verdicts(), 1u);
 
-    // A rekey changes the epoch-relevant node param: new hash, fresh
-    // compose_and_check — the cached verdict cannot outlive the key.
-    analysis::stage_graph rekeyed = linear_graph();
-    rekeyed.nodes[0].param = 1;
-    const analysis::verdict& fresh = gate.check(rekeyed);
+    // A different graph gets a fresh compose_and_check of its own.
+    analysis::stage_graph recut = linear_graph();
+    recut.parts = {{0, 512}, {512, 512}};
+    const analysis::verdict& fresh = gate.check(recut);
     EXPECT_TRUE(fresh.legal);
     EXPECT_NE(fresh.hash, first.hash);
     EXPECT_EQ(gate.stats().checks, 3u);
     EXPECT_EQ(gate.stats().cache_hits, 1u);
     EXPECT_EQ(gate.cached_verdicts(), 2u);
-
-    EXPECT_EQ(gate.stats().fallbacks, 0u);
-    gate.count_fallback();
-    EXPECT_EQ(gate.stats().fallbacks, 1u);
 }
 
 // An ad-hoc stage with no footprint declaration: composing it still works,
@@ -197,7 +190,7 @@ TEST(Composer, UndeclaredStageDrawsConservativeFootprintWarning) {
     EXPECT_FALSE(fp.declared);
 
     analysis::stage_graph g = linear_graph();
-    g.nodes.push_back({fp, 0});
+    g.nodes.push_back({fp});
     const analysis::verdict v = analysis::compose_and_check(g);
     EXPECT_TRUE(v.legal);  // warning, not error: the composition still runs
     EXPECT_TRUE(has_rule(v, "W4-conservative-footprint"));
@@ -211,47 +204,44 @@ TEST(FlowGraphs, EngineBuildersMatchTheGateContract) {
 
     // The plain flow graphs are legal on both sides.
     EXPECT_TRUE(analysis::compose_and_check(
-                    app::flow_send_graph<crypto::safer_k64>(
-                        classic, app::compose_tap::none, 0))
+                    app::flow_send_graph<crypto::safer_k64>(classic))
                     .legal);
     EXPECT_TRUE(analysis::compose_and_check(
-                    app::flow_receive_graph<crypto::safer_k64>(
-                        classic, app::compose_tap::none, 0))
+                    app::flow_receive_graph<crypto::safer_k64>(classic))
                     .legal);
 
-    // crc32 is ordering-constrained: illegal under the B,C,A send schedule,
-    // legal on the linear receive side — the canonical demotion case.
+    // The sweep's crc32 tap is ordering-constrained: illegal under the
+    // B,C,A send schedule, legal on the linear receive side.
     const analysis::verdict send = analysis::compose_and_check(
-        app::flow_send_graph<crypto::safer_k64>(classic,
-                                                app::compose_tap::crc32, 0));
+        app::flow_graph<crypto::safer_k64>(classic, app::compose_tap::crc32,
+                                           app::compose_schedule::send_bca));
     EXPECT_FALSE(send.legal);
     EXPECT_EQ(send.rule, "R1-ordering");
     EXPECT_EQ(send.offender, "crc32_tap × B,C,A schedule");
     EXPECT_TRUE(analysis::compose_and_check(
-                    app::flow_receive_graph<crypto::safer_k64>(
-                        classic, app::compose_tap::crc32, 0))
+                    app::flow_graph<crypto::safer_k64>(
+                        classic, app::compose_tap::crc32,
+                        app::compose_schedule::receive))
                     .legal);
 
     // v3 framing requires the AEAD trailer obligation.
     EXPECT_TRUE(analysis::compose_and_check(
-                    app::flow_send_graph<crypto::aead_cipher>(
-                        secure, app::compose_tap::none, 0))
+                    app::flow_send_graph<crypto::aead_cipher>(secure))
                     .legal);
     const analysis::verdict unfilled = analysis::compose_and_check(
-        app::flow_send_graph<crypto::safer_k64>(secure,
-                                                app::compose_tap::none, 0));
+        app::flow_send_graph<crypto::safer_k64>(secure));
     EXPECT_FALSE(unfilled.legal);
     EXPECT_EQ(unfilled.rule, "R2-header-size");
 }
 
 // The graph a loop type stands for: `g` with its nodes replaced by the
 // loop's footprints.  graph_hash ignores name and site, so equal hashes
-// mean equal footprints, params and geometry.
+// mean equal footprints and geometry.
 template <typename Loop>
 std::uint64_t hash_with_loop(analysis::stage_graph g) {
     g.nodes.clear();
     for (const analysis::footprint& fp : Loop::footprints()) {
-        g.nodes.push_back({fp, 0});
+        g.nodes.push_back({fp});
     }
     return analysis::graph_hash(g);
 }

@@ -20,6 +20,7 @@
 #include "memsim/configs.h"
 #include "memsim/mem_policy.h"
 #include "obs/tracer.h"
+#include "rpc/messages.h"
 #include "util/rng.h"
 
 namespace ilp::engine {
@@ -232,49 +233,42 @@ TEST(EngineChaos, LossyFlowsEndExplicitlyCleanFlowsComplete) {
 
 // --- composition-legality gate ---------------------------------------------
 
-// A crc32 tap on the B,C,A send schedule composes an illegal graph (R1):
-// the gate must demote exactly those flows to the layered path — counted,
-// never silent — and the demoted flows must still complete verified.
-TEST(EngineGate, IllegalComposedFlowFallsBackToLayeredAndCompletes) {
-    fleet_config cfg;
-    cfg.flows = 6;
-    cfg.shards = 1;
-    cfg.defaults = small_flow();
-    cfg.per_flow = [](std::uint32_t f, flow_config& fc) {
-        fc.tap = f % 2 == 0 ? app::compose_tap::crc32 : app::compose_tap::none;
-    };
-    const fleet_report report = run_fleet_native<cipher>(cfg);
-
-    ASSERT_EQ(report.flows.size(), 6u);
-    for (const flow_outcome& o : report.flows) {
-        EXPECT_TRUE(o.completed && o.verified) << "flow " << o.flow_id;
-        EXPECT_EQ(o.composed_fallback, o.flow_id % 2 == 0)
-            << "flow " << o.flow_id;
-    }
-    // Every ILP flow was gated (send + receive graph) and each demoted flow
-    // counted one fallback; identical graphs across flows hit the verdict
-    // cache rather than re-running the composer.
-    EXPECT_EQ(report.metrics.counter("analysis.gate.fallbacks"), 3u);
-    EXPECT_GE(report.metrics.counter("analysis.gate.checks"), 12u);
-    EXPECT_GT(report.metrics.counter("analysis.gate.cache_hits"), 0u);
-    ASSERT_EQ(report.shards.size(), 1u);
-    EXPECT_EQ(report.shards[0].gate.fallbacks, 3u);
-}
-
-// A legal tap (inet2 runs at the checksum's natural unit, legal anywhere)
-// must pass the gate untouched: no demotion, fused path kept.
-TEST(EngineGate, LegalTapStaysOnTheFusedPath) {
+// The gate checks each side of an ILP flow once, at setup, on the graphs of
+// the loops the flow runs.  A rekey swaps key material inside the same
+// loop, so it neither re-checks nor adds a verdict: over flows of both
+// framings — plain (unsecured, and secure negotiated down to wire v2) and
+// AEAD wire v3 rekeying every 2 KB — the shard holds exactly one cached
+// verdict per framing and side.
+TEST(EngineGate, OneSetupCheckPerSideAndNoneOnRekey) {
+    using aead_shard = shard<direct_memory, crypto::aead_cipher>;
     shard_options opts;
-    test_shard s(0, opts, direct_memory{}, direct_memory{});
-    const cipher c = make_cipher(1);
-    flow_config fc = small_flow();
-    fc.tap = app::compose_tap::inet2;
-    ASSERT_TRUE(s.open_flow(0, fc, c, c));
+    aead_shard s(0, opts, direct_memory{}, direct_memory{});
+    std::array<std::byte, crypto::aead_cipher::key_bytes> key{};
+    rng key_rng(7);
+    key_rng.fill(key);
+    const crypto::aead_cipher c{std::span<const std::byte>(key)};
+
+    constexpr std::uint32_t flows = 6;
+    for (std::uint32_t f = 0; f < flows; ++f) {
+        flow_config fc = small_flow(16 * 1024);
+        fc.secure = f % 3 != 0;
+        fc.secure_wire_version =
+            f % 3 == 1 ? rpc::wire_version : rpc::wire_version_secure;
+        fc.flow_secret = 0x5ec0 + f;
+        fc.rekey_interval_bytes = 2 * 1024;
+        ASSERT_TRUE(s.open_flow(f, fc, c, c));
+    }
     s.run();
-    EXPECT_TRUE(s.outcome(0).completed && s.outcome(0).verified);
-    EXPECT_FALSE(s.outcome(0).composed_fallback);
-    EXPECT_EQ(s.gate().stats().fallbacks, 0u);
-    EXPECT_EQ(s.gate().stats().checks, 2u);  // send + receive graph
+
+    for (std::uint32_t f = 0; f < flows; ++f) {
+        const flow_outcome& o = s.outcome(f);
+        EXPECT_TRUE(o.completed && o.verified) << "flow " << f;
+        if (f % 3 == 2) {
+            EXPECT_GT(o.rekeys, 1u) << "flow " << f;
+        }
+    }
+    EXPECT_EQ(s.gate().stats().checks, 2u * flows);
+    EXPECT_EQ(s.gate().cached_verdicts(), 4u);
 }
 
 // --- one wiring -------------------------------------------------------------

@@ -142,8 +142,6 @@ TEST(FlightRecorder, EventNamesAreStable) {
                  "retransmit");
     EXPECT_STREQ(obs::flight_event_name(obs::flight_event::gave_up),
                  "gave_up");
-    EXPECT_STREQ(obs::flight_event_name(obs::flight_event::composed_fallback),
-                 "composed_fallback");
 }
 
 // --- fleet JSON black boxes ------------------------------------------------
@@ -162,9 +160,6 @@ engine::fleet_config mixed_fleet() {
             fc.forward_faults.drop_probability = 1.0;
             fc.retry.max_attempts = 1;
             fc.retry.response_timeout_us = 2'000;
-        }
-        if (f == 5) {  // illegal tap -> legality-gate demotion, completes
-            fc.tap = app::compose_tap::crc32;
         }
     };
     return cfg;
@@ -198,9 +193,9 @@ TEST(FleetReportJson, BlackBoxesDumpOnlyFailedOrDemotedFlows) {
     ASSERT_NE(boxes_v, nullptr);
     const json::array* boxes = boxes_v->as_array();
     ASSERT_NE(boxes, nullptr);
-    // Exactly the gave_up flow and the demoted flow — completed healthy
-    // flows never dump their recorders.
-    ASSERT_EQ(boxes->size(), 2u);
+    // Exactly the gave_up flow — completed healthy flows never dump their
+    // recorders.
+    ASSERT_EQ(boxes->size(), 1u);
     const json::value& failed = (*boxes)[0];
     EXPECT_EQ(failed.number_at("flow"), 3.0);
     EXPECT_EQ(failed.string_at("outcome"), "gave_up");
@@ -211,13 +206,6 @@ TEST(FleetReportJson, BlackBoxesDumpOnlyFailedOrDemotedFlows) {
     // The terminal transition is the last ring entry.
     const json::array& ev = *failed_events->as_array();
     EXPECT_EQ(ev[ev.size() - 1].string_at("ev"), "gave_up");
-
-    const json::value& demoted = (*boxes)[1];
-    EXPECT_EQ(demoted.number_at("flow"), 5.0);
-    EXPECT_EQ(demoted.string_at("outcome"), "completed");
-    const json::value* fb = demoted.find("composed_fallback");
-    ASSERT_NE(fb, nullptr);
-    EXPECT_TRUE(fb->as_bool());
 }
 
 TEST(FleetReportJson, MetricsSurfaceSamplingAndLatencySketch) {

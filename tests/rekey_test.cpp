@@ -109,8 +109,10 @@ TEST(KeychainDeathTest, RetiredEpochIsUnreachable) {
 // Key-schedule zeroization on teardown
 
 // Destroys a placement-new'd cipher and returns how many bytes of its
-// storage remain nonzero.  Reading the raw storage after the destructor is
-// fine: it is just a byte array the object used to live in.
+// storage remain nonzero.  The bytes are read through a volatile pointer:
+// the object's lifetime has ended, so a plain read is one the optimizer may
+// treat as uninitialized and fold away, while a volatile read must load
+// what the destructor's (volatile) scrub left in memory.
 template <typename Cipher, std::size_t KeyBytes>
 std::size_t nonzero_bytes_after_destruction() {
     // Zero-filled storage, so struct padding (never written by the object)
@@ -120,11 +122,11 @@ std::size_t nonzero_bytes_after_destruction() {
     rng r(99);
     r.fill(key);
     Cipher* cipher = new (storage) Cipher(key);
-    (void)cipher;
     cipher->~Cipher();
+    const volatile std::byte* bytes = storage;
     std::size_t nonzero = 0;
-    for (const std::byte b : storage) {
-        if (b != std::byte{0}) ++nonzero;
+    for (std::size_t i = 0; i < sizeof(Cipher); ++i) {
+        if (bytes[i] != std::byte{0}) ++nonzero;
     }
     return nonzero;
 }

@@ -124,23 +124,20 @@ std::vector<analysis::finding> run_audits() {
     struct audit_run {
         app::audit_outcome outcome;
         const char* site;
-        const char* pipeline;
         const char* path;
     };
     const audit_run runs[] = {
         {app::audit_fused_send(cipher), "src/app/send_path.h:fill_message_ilp",
-         "app-send-ilp", "fused send"},
+         "fused send"},
         {app::audit_fused_receive(cipher),
-         "src/app/receive_path.h:receive_reply_ilp", "app-recv-reply-ilp",
-         "fused receive"},
+         "src/app/receive_path.h:receive_reply_ilp", "fused receive"},
         {app::audit_zero_copy_receive(cipher),
-         "src/app/receive_path.h:receive_reply_ilp", "app-recv-zero-copy",
-         "zero-copy fused receive"},
+         "src/app/receive_path.h:receive_reply_ilp", "zero-copy fused receive"},
         {app::audit_fused_send(v3), "src/app/send_path.h:fill_message_ilp",
-         "app-send-secure-ilp", "wire-v3 fused send"},
+         "wire-v3 fused send"},
         {app::audit_zero_copy_receive(v3),
          "src/app/receive_path.h:receive_reply_ilp",
-         "app-recv-secure-zero-copy", "wire-v3 zero-copy fused receive"},
+         "wire-v3 zero-copy fused receive"},
     };
     std::vector<analysis::finding> out;
     for (const audit_run& run : runs) {
@@ -148,7 +145,7 @@ std::vector<analysis::finding> run_audits() {
                    run.outcome.findings.end());
         if (!run.outcome.round_trip_ok) {
             out.push_back({analysis::severity::error, "A0-audit-fixture",
-                           run.site, run.pipeline,
+                           run.site, run.outcome.loop,
                            std::string("audit payload failed to round-trip "
                                        "through the ") +
                                run.path +
@@ -271,8 +268,7 @@ int main(int argc, char** argv) {
 
     if (sweep_bytes > 0) {
         const analysis::verdict send = analysis::compose_and_check(
-            app::flow_send_graph<crypto::safer_k64>({}, app::compose_tap::none,
-                                                    0));
+            app::flow_send_graph<crypto::safer_k64>({}));
         std::size_t checked = 0;
         std::vector<analysis::finding> swept =
             sweep_plans(send.composed, sweep_bytes, checked);

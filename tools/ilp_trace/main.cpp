@@ -288,8 +288,8 @@ int cmd_summarize_fleet(const std::string& path, long long top, bool strict) {
     if (const value* shards_v = doc->find("shards")) {
         if (const ilp::json::array* shards = shards_v->as_array()) {
             ilp::stats::table out({"shard", "flows", "completed", "failed",
-                                   "fallbacks", "rekeys", "elapsed us",
-                                   "p50 us", "p99 us"});
+                                   "rekeys", "elapsed us", "p50 us",
+                                   "p99 us"});
             for (const value& s : *shards) {
                 const value* lat = s.find("latency");
                 out.row()
@@ -297,7 +297,6 @@ int cmd_summarize_fleet(const std::string& path, long long top, bool strict) {
                     .cell(static_cast<std::uint64_t>(s.number_at("flows")))
                     .cell(static_cast<std::uint64_t>(s.number_at("completed")))
                     .cell(static_cast<std::uint64_t>(s.number_at("failed")))
-                    .cell(static_cast<std::uint64_t>(s.number_at("fallbacks")))
                     .cell(static_cast<std::uint64_t>(s.number_at("rekeys")))
                     .cell(
                         static_cast<std::uint64_t>(s.number_at("elapsed_us")))
@@ -333,14 +332,11 @@ int cmd_summarize_fleet(const std::string& path, long long top, bool strict) {
                     b.find("events") == nullptr
                         ? nullptr
                         : b.find("events")->as_array();
-                const value* fb = b.find("composed_fallback");
                 std::printf(
-                    "  flow %llu shard %llu: %s%s, %zu/%llu event(s)\n",
+                    "  flow %llu shard %llu: %s, %zu/%llu event(s)\n",
                     static_cast<unsigned long long>(b.number_at("flow")),
                     static_cast<unsigned long long>(b.number_at("shard")),
                     b.string_at("outcome").c_str(),
-                    fb != nullptr && fb->as_bool() ? " (composed_fallback)"
-                                                   : "",
                     events == nullptr ? 0 : events->size(),
                     static_cast<unsigned long long>(b.number_at("recorded")));
             }
