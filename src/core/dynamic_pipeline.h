@@ -43,17 +43,7 @@ public:
 
     void run(const Mem& mem, gather_cursor& src, scatter_cursor& dst,
              std::size_t n) const {
-        ILP_EXPECT(n % unit_bytes_ == 0);
-        alignas(8) std::byte scratch[max_unit_bytes];
-        for (std::size_t off = 0; off < n; off += unit_bytes_) {
-            src.fill(mem, scratch, unit_bytes_);
-            for (const entry& e : entries_) {
-                for (std::size_t i = 0; i < unit_bytes_; i += e.unit_bytes) {
-                    e.fn(e.stage, mem, scratch + i);
-                }
-            }
-            dst.drain(mem, scratch, unit_bytes_);
-        }
+        stream_units<max_unit_bytes>(mem, src, dst, n, unit_bytes_, *this);
     }
 
     void run(const Mem& mem, const gather_source& src,
@@ -62,6 +52,16 @@ public:
         gather_cursor in(src);
         scatter_cursor out(dst);
         run(mem, in, out, src.total_size());
+    }
+
+    // Runs every stage on one exchanged unit, each call through its
+    // function pointer (the body of the loop).
+    void process_unit(const Mem& mem, std::byte* unit) const {
+        for (const entry& e : entries_) {
+            for (std::size_t i = 0; i < unit_bytes_; i += e.unit_bytes) {
+                e.fn(e.stage, mem, unit + i);
+            }
+        }
     }
 
 private:

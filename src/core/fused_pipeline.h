@@ -12,11 +12,19 @@
 // of the paper's macro expansion (§3.2.1: replacing macros with function
 // calls "results in the loss of all performance benefits gained by ILP");
 // dynamic_pipeline.h keeps the function-call variant for that ablation.
+//
+// The traversal is core::stream_units (gather.h): units move run by run
+// through the contiguous remainder of the current source and destination
+// segments, so the segment-op switch happens once per run; the cursors'
+// per-unit fill/drain serve only units that straddle a segment boundary.
+// Either way a unit issues its loads, its stages' accesses and its stores
+// in that order, so sim_memory sees the per-unit access stream.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -62,13 +70,9 @@ public:
     template <memsim::memory_policy Mem>
     void run(const Mem& mem, gather_cursor& src, scatter_cursor& dst,
              std::size_t n) {
-        ILP_EXPECT(n % unit_bytes == 0);
-        alignas(8) std::byte scratch[unit_bytes];
-        for (std::size_t off = 0; off < n; off += unit_bytes) {
-            src.fill(mem, scratch, unit_bytes);
-            apply_stages(mem, scratch, std::index_sequence_for<Stages...>{});
-            dst.drain(mem, scratch, unit_bytes);
-        }
+        stream_units<unit_bytes>(
+            mem, src, dst, n, std::integral_constant<std::size_t, unit_bytes>{},
+            *this);
     }
 
     // Whole-message convenience: source and destination must describe the
@@ -80,6 +84,13 @@ public:
         gather_cursor in(src);
         scatter_cursor out(dst);
         run(mem, in, out, src.total_size());
+    }
+
+    // Runs every stage, in fusion order, on one exchanged unit in loop
+    // scratch (the body of the loop).
+    template <memsim::memory_policy Mem>
+    ILP_ALWAYS_INLINE void process_unit(const Mem& mem, std::byte* unit) {
+        apply_stages(mem, unit, std::index_sequence_for<Stages...>{});
     }
 
 private:

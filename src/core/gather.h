@@ -12,8 +12,15 @@
 // The receive side mirrors it: a `scatter_dest` routes decrypted wire words
 // to application fields (converting XDR ints back to host form), drops
 // padding, and writes each destination byte exactly once.
+//
+// The loop moves units run by run (stream_units below): while a unit lies
+// inside one source segment and one destination segment it is read and
+// written by a loop specialised on the two segment ops.  The cursors'
+// per-unit fill/drain now serve only units that straddle a segment
+// boundary.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
@@ -123,7 +130,94 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Cursors: sequential fill/drain used by the pipeline inner loop.
+// Segment transforms: the accesses that read (write) n bytes lying inside
+// one segment into (out of) loop scratch.  The cursors' fill/drain and the
+// run-wise loop below share them, so a unit issues the same access stream
+// whichever of the two moves it.
+
+template <segment_op Op, memsim::memory_policy Mem>
+ILP_ALWAYS_INLINE void read_segment_bytes(const Mem& mem, const std::byte* p,
+                                          std::byte* scratch, std::size_t n) {
+    if constexpr (Op == segment_op::zeros) {
+        std::memset(scratch, 0, n);
+    } else if constexpr (Op == segment_op::copy) {
+        // Read in the widest units available — the loop's single read of
+        // each datum should use the full memory path.
+        std::size_t i = 0;
+        for (; i + 8 <= n; i += 8) {
+            const std::uint64_t v = mem.load_u64(p + i);
+            std::memcpy(scratch + i, &v, 8);
+        }
+        for (; i + 4 <= n; i += 4) {
+            const std::uint32_t v = mem.load_u32(p + i);
+            std::memcpy(scratch + i, &v, 4);
+        }
+        for (; i < n; ++i) {
+            scratch[i] = static_cast<std::byte>(mem.load_u8(p + i));
+        }
+    } else {
+        for (std::size_t i = 0; i < n; i += 4) {
+            const std::uint32_t v = host_to_be32(mem.load_u32(p + i));
+            std::memcpy(scratch + i, &v, 4);
+        }
+    }
+}
+
+template <segment_op Op, memsim::memory_policy Mem>
+ILP_ALWAYS_INLINE void write_segment_bytes(const Mem& mem, std::byte* p,
+                                           const std::byte* scratch,
+                                           std::size_t n) {
+    if constexpr (Op == segment_op::zeros) {
+        // Discarded (receive-side padding): nothing is written.
+    } else if constexpr (Op == segment_op::copy) {
+        // Write in the widest units available (paper §2.2: one 8-byte store
+        // per cipher block instead of two 4-byte ones is the point of
+        // exchanging LCM-sized units).
+        std::size_t i = 0;
+        for (; i + 8 <= n; i += 8) {
+            std::uint64_t v;
+            std::memcpy(&v, scratch + i, 8);
+            mem.store_u64(p + i, v);
+        }
+        for (; i + 4 <= n; i += 4) {
+            std::uint32_t v;
+            std::memcpy(&v, scratch + i, 4);
+            mem.store_u32(p + i, v);
+        }
+        for (; i < n; ++i) {
+            mem.store_u8(p + i, std::to_integer<std::uint8_t>(scratch[i]));
+        }
+    } else {
+        for (std::size_t i = 0; i < n; i += 4) {
+            std::uint32_t v;
+            std::memcpy(&v, scratch + i, 4);
+            mem.store_u32(p + i, be32_to_host(v));
+        }
+    }
+}
+
+// Calls f.template operator()<op>() with the segment_op as a constant, so
+// a loop templated on it switches once, outside the loop.
+template <typename F>
+ILP_ALWAYS_INLINE void with_segment_op(segment_op op, F&& f) {
+    switch (op) {
+        case segment_op::copy:
+            f.template operator()<segment_op::copy>();
+            return;
+        case segment_op::xdr_words:
+            f.template operator()<segment_op::xdr_words>();
+            return;
+        case segment_op::zeros:
+            f.template operator()<segment_op::zeros>();
+            return;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Cursors.  run() is the contiguous remainder of the current segment (its
+// data pointer, length and op) and skip(n) consumes n bytes of it; the
+// fused loop moves whole units through such runs.  fill/drain assemble a
+// unit that straddles a segment boundary piecewise, segment by segment.
 
 class gather_cursor {
 public:
@@ -136,56 +230,42 @@ public:
         return n - seg_pos_;
     }
 
+    // The rest of the current segment; empty once the source is exhausted.
+    gather_segment run() const noexcept {
+        const auto segs = src_->segments();
+        if (seg_ == segs.size()) return {};
+        const gather_segment& s = segs[seg_];
+        return {s.data == nullptr ? nullptr : s.data + seg_pos_,
+                s.len - seg_pos_, s.op};
+    }
+
+    // Consumes n bytes of run().
+    void skip(std::size_t n) {
+        const auto segs = src_->segments();
+        ILP_EXPECT(seg_ < segs.size() && n <= segs[seg_].len - seg_pos_);
+        seg_pos_ += n;
+        if (seg_pos_ == segs[seg_].len) {
+            ++seg_;
+            seg_pos_ = 0;
+        }
+    }
+
     // Reads the next n bytes into `scratch` (direct stores: scratch is the
     // loop's register set), applying each segment's transform.  Reads from
     // segment memory go through `mem`.
     template <memsim::memory_policy Mem>
     void fill(const Mem& mem, std::byte* scratch, std::size_t n) {
-        const auto segs = src_->segments();
-        std::size_t out = 0;
-        while (out < n) {
-            ILP_EXPECT(seg_ < segs.size());
-            const gather_segment& s = segs[seg_];
-            const std::size_t take = std::min(n - out, s.len - seg_pos_);
-            switch (s.op) {
-                case segment_op::zeros:
-                    std::memset(scratch + out, 0, take);
-                    break;
-                case segment_op::copy: {
-                    // Read in the widest units available — the loop's single
-                    // read of each datum should use the full memory path.
-                    const std::byte* p = s.data + seg_pos_;
-                    std::size_t i = 0;
-                    for (; i + 8 <= take; i += 8) {
-                        const std::uint64_t v = mem.load_u64(p + i);
-                        std::memcpy(scratch + out + i, &v, 8);
-                    }
-                    for (; i + 4 <= take; i += 4) {
-                        const std::uint32_t v = mem.load_u32(p + i);
-                        std::memcpy(scratch + out + i, &v, 4);
-                    }
-                    for (; i < take; ++i) {
-                        scratch[out + i] =
-                            static_cast<std::byte>(mem.load_u8(p + i));
-                    }
-                    break;
-                }
-                case segment_op::xdr_words: {
-                    ILP_EXPECT(seg_pos_ % 4 == 0 && take % 4 == 0);
-                    const std::byte* p = s.data + seg_pos_;
-                    for (std::size_t i = 0; i < take; i += 4) {
-                        const std::uint32_t v = host_to_be32(mem.load_u32(p + i));
-                        std::memcpy(scratch + out + i, &v, 4);
-                    }
-                    break;
-                }
-            }
+        for (std::size_t out = 0; out < n;) {
+            ILP_EXPECT(seg_ < src_->segments().size());
+            const gather_segment s = run();
+            const std::size_t take = std::min(n - out, s.len);
+            ILP_EXPECT(s.op != segment_op::xdr_words ||
+                       (seg_pos_ % 4 == 0 && take % 4 == 0));
+            with_segment_op(s.op, [&]<segment_op Op>() {
+                read_segment_bytes<Op>(mem, s.data, scratch + out, take);
+            });
             out += take;
-            seg_pos_ += take;
-            if (seg_pos_ == s.len) {
-                ++seg_;
-                seg_pos_ = 0;
-            }
+            skip(take);
         }
     }
 
@@ -199,58 +279,41 @@ class scatter_cursor {
 public:
     explicit scatter_cursor(const scatter_dest& dst) : dst_(&dst) {}
 
+    // The rest of the current segment; empty once the destination is full.
+    scatter_segment run() const noexcept {
+        const auto segs = dst_->segments();
+        if (seg_ == segs.size()) return {};
+        const scatter_segment& s = segs[seg_];
+        return {s.data == nullptr ? nullptr : s.data + seg_pos_,
+                s.len - seg_pos_, s.op};
+    }
+
+    // Consumes n bytes of run().
+    void skip(std::size_t n) {
+        const auto segs = dst_->segments();
+        ILP_EXPECT(seg_ < segs.size() && n <= segs[seg_].len - seg_pos_);
+        seg_pos_ += n;
+        if (seg_pos_ == segs[seg_].len) {
+            ++seg_;
+            seg_pos_ = 0;
+        }
+    }
+
     // Writes the next n bytes from `scratch` out to the destination
     // segments (stores through `mem`), applying each segment's transform.
     template <memsim::memory_policy Mem>
     void drain(const Mem& mem, const std::byte* scratch, std::size_t n) {
-        const auto segs = dst_->segments();
-        std::size_t in = 0;
-        while (in < n) {
-            ILP_EXPECT(seg_ < segs.size());
-            const scatter_segment& s = segs[seg_];
-            const std::size_t take = std::min(n - in, s.len - seg_pos_);
-            switch (s.op) {
-                case segment_op::zeros:
-                    break;  // discarded (receive-side padding)
-                case segment_op::copy: {
-                    // Write in the widest units available (paper §2.2: one
-                    // 8-byte store per cipher block instead of two 4-byte
-                    // ones is the point of exchanging LCM-sized units).
-                    std::byte* p = s.data + seg_pos_;
-                    std::size_t i = 0;
-                    for (; i + 8 <= take; i += 8) {
-                        std::uint64_t v;
-                        std::memcpy(&v, scratch + in + i, 8);
-                        mem.store_u64(p + i, v);
-                    }
-                    for (; i + 4 <= take; i += 4) {
-                        std::uint32_t v;
-                        std::memcpy(&v, scratch + in + i, 4);
-                        mem.store_u32(p + i, v);
-                    }
-                    for (; i < take; ++i) {
-                        mem.store_u8(
-                            p + i, std::to_integer<std::uint8_t>(scratch[in + i]));
-                    }
-                    break;
-                }
-                case segment_op::xdr_words: {
-                    ILP_EXPECT(seg_pos_ % 4 == 0 && take % 4 == 0);
-                    std::byte* p = s.data + seg_pos_;
-                    for (std::size_t i = 0; i < take; i += 4) {
-                        std::uint32_t v;
-                        std::memcpy(&v, scratch + in + i, 4);
-                        mem.store_u32(p + i, be32_to_host(v));
-                    }
-                    break;
-                }
-            }
+        for (std::size_t in = 0; in < n;) {
+            ILP_EXPECT(seg_ < dst_->segments().size());
+            const scatter_segment s = run();
+            const std::size_t take = std::min(n - in, s.len);
+            ILP_EXPECT(s.op != segment_op::xdr_words ||
+                       (seg_pos_ % 4 == 0 && take % 4 == 0));
+            with_segment_op(s.op, [&]<segment_op Op>() {
+                write_segment_bytes<Op>(mem, s.data, scratch + in, take);
+            });
             in += take;
-            seg_pos_ += take;
-            if (seg_pos_ == s.len) {
-                ++seg_;
-                seg_pos_ = 0;
-            }
+            skip(take);
         }
     }
 
@@ -259,5 +322,63 @@ private:
     std::size_t seg_ = 0;
     std::size_t seg_pos_ = 0;
 };
+
+// ---------------------------------------------------------------------------
+// The loop traversal (paper Fig. 1), shared by fused_pipeline and
+// dynamic_pipeline: streams n bytes from src to dst in units of `unit`
+// bytes, each read into scratch, handed to proc.process_unit(mem, scratch)
+// and written out.  `Unit` is a std::integral_constant when the unit size
+// is known at compile time, a std::size_t otherwise; MaxUnit bounds it.
+//
+// Units move run by run: while the current source and destination
+// segments both hold k >= 1 whole units, a loop specialised on the two
+// segment ops moves them with no per-unit segment bookkeeping.  Per unit it
+// issues exactly what fill/stages/drain issue for a unit inside one segment
+// — the unit's loads, then the stage's accesses, then its stores — so the
+// memory simulator's access stream is the per-unit one.  Only a unit that
+// straddles a segment boundary takes the cursors' fill/drain.
+
+template <segment_op In, segment_op Out, std::size_t MaxUnit,
+          memsim::memory_policy Mem, typename Unit, typename Proc>
+void stream_run(const Mem& mem, const std::byte* in, std::byte* out,
+                std::size_t k, Unit unit, Proc& proc) {
+    alignas(8) std::byte scratch[MaxUnit];
+    for (std::size_t u = 0; u < k; ++u) {
+        read_segment_bytes<In>(mem, in, scratch, unit);
+        proc.process_unit(mem, scratch);
+        write_segment_bytes<Out>(mem, out, scratch, unit);
+        if constexpr (In != segment_op::zeros) in += unit;
+        if constexpr (Out != segment_op::zeros) out += unit;
+    }
+}
+
+template <std::size_t MaxUnit, memsim::memory_policy Mem, typename Unit,
+          typename Proc>
+void stream_units(const Mem& mem, gather_cursor& src, scatter_cursor& dst,
+                  std::size_t n, Unit unit, Proc& proc) {
+    ILP_EXPECT(unit <= MaxUnit && n % unit == 0);
+    for (std::size_t off = 0; off < n;) {
+        const gather_segment in = src.run();
+        const scatter_segment out = dst.run();
+        const std::size_t k = std::min({in.len, out.len, n - off}) / unit;
+        if (k == 0) {
+            alignas(8) std::byte scratch[MaxUnit];
+            src.fill(mem, scratch, unit);
+            proc.process_unit(mem, scratch);
+            dst.drain(mem, scratch, unit);
+            off += unit;
+            continue;
+        }
+        with_segment_op(in.op, [&]<segment_op InOp>() {
+            with_segment_op(out.op, [&]<segment_op OutOp>() {
+                stream_run<InOp, OutOp, MaxUnit>(mem, in.data, out.data, k,
+                                                 unit, proc);
+            });
+        });
+        src.skip(k * unit);
+        dst.skip(k * unit);
+        off += k * unit;
+    }
+}
 
 }  // namespace ilp::core

@@ -5,9 +5,12 @@
 // results never depend on the standard library's unspecified distributions.
 #pragma once
 
-#include <cstdint>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <span>
+
+#include "util/endian.h"
 
 namespace ilp {
 
@@ -73,15 +76,16 @@ public:
         return next_double() < probability_true;
     }
 
+    // Each draw fills 8 bytes, least significant byte first.  Whole draws
+    // are stored a word at a time: a byte-at-a-time loop made filling a
+    // large file cost several times more, and its speed swung with where
+    // the linker happened to place the loop.
     void fill(std::span<std::byte> out) noexcept {
         std::size_t i = 0;
-        while (i + 8 <= out.size()) {
+        for (; i + 8 <= out.size(); i += 8) {
             std::uint64_t v = next_u64();
-            for (int b = 0; b < 8; ++b) {
-                out[i + b] = static_cast<std::byte>(v & 0xff);
-                v >>= 8;
-            }
-            i += 8;
+            if constexpr (!host_is_little_endian()) v = byteswap64(v);
+            std::memcpy(out.data() + i, &v, 8);
         }
         if (i < out.size()) {
             std::uint64_t v = next_u64();

@@ -3,7 +3,9 @@
 // layered equivalence), the dynamic pipeline and word filters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "buffer/byte_buffer.h"
@@ -399,6 +401,252 @@ TEST(FusedPipeline, IlpReducesMemoryAccessesVsLayered) {
     // 1 read + 1 write of n bytes each.
     EXPECT_EQ(layered_bytes - fused_bytes, 3 * n);
     EXPECT_LT(fused_ops, layered_ops);
+}
+
+// ---------------------------------------------------------------------------
+// run-wise loop: the access stream is the per-unit one
+
+// One access through the memory policy.
+struct mem_access {
+    std::uintptr_t addr;
+    std::size_t width;
+    bool write;
+    bool operator==(const mem_access&) const = default;
+};
+
+// Memory policy that logs every access, in program order, then performs it.
+class recording_memory {
+public:
+    explicit recording_memory(std::vector<mem_access>& log) : log_(&log) {}
+
+    std::uint8_t load_u8(const std::byte* p) const {
+        note(p, 1, false);
+        return raw_.load_u8(p);
+    }
+    std::uint16_t load_u16(const std::byte* p) const {
+        note(p, 2, false);
+        return raw_.load_u16(p);
+    }
+    std::uint32_t load_u32(const std::byte* p) const {
+        note(p, 4, false);
+        return raw_.load_u32(p);
+    }
+    std::uint64_t load_u64(const std::byte* p) const {
+        note(p, 8, false);
+        return raw_.load_u64(p);
+    }
+    void store_u8(std::byte* p, std::uint8_t v) const {
+        note(p, 1, true);
+        raw_.store_u8(p, v);
+    }
+    void store_u16(std::byte* p, std::uint16_t v) const {
+        note(p, 2, true);
+        raw_.store_u16(p, v);
+    }
+    void store_u32(std::byte* p, std::uint32_t v) const {
+        note(p, 4, true);
+        raw_.store_u32(p, v);
+    }
+    void store_u64(std::byte* p, std::uint64_t v) const {
+        note(p, 8, true);
+        raw_.store_u64(p, v);
+    }
+    void copy(std::byte* dst, const std::byte* src, std::size_t n) const {
+        for (std::size_t i = 0; i < n; ++i) store_u8(dst + i, load_u8(src + i));
+    }
+
+private:
+    void note(const std::byte* p, std::size_t width, bool write) const {
+        log_->push_back({reinterpret_cast<std::uintptr_t>(p), width, write});
+    }
+
+    std::vector<mem_access>* log_;
+    direct_memory raw_;
+};
+static_assert(memsim::memory_policy<recording_memory>);
+
+// A random segment layout of `total` bytes (a multiple of 8): copy,
+// xdr_words and zeros segments whose lengths are mostly not multiples of 8,
+// some shorter than one unit.  xdr segments start on a word boundary of the
+// stream, as the cursors require; a short copy segment realigns first.
+std::vector<std::pair<segment_op, std::size_t>> random_layout(
+    rng& r, std::size_t total) {
+    std::vector<std::pair<segment_op, std::size_t>> segs;
+    std::size_t pos = 0;
+    while (pos < total) {
+        const std::size_t left = total - pos;
+        const bool last = segs.size() + 2 >= max_segments;
+        auto op = static_cast<segment_op>(r.next_below(3));
+        if (op == segment_op::xdr_words && pos % 4 != 0) {
+            segs.emplace_back(segment_op::copy, 4 - pos % 4);
+            pos += 4 - pos % 4;
+            continue;
+        }
+        std::size_t len = left;
+        if (!last) {
+            len = r.next_below(2) == 0 ? 1 + r.next_below(7)    // < one unit
+                                       : 1 + r.next_below(40);  // a few units
+            if (op == segment_op::xdr_words) len = 4 * ((len + 3) / 4);
+            len = std::min(len, left);
+        }
+        segs.emplace_back(op, len);
+        pos += len;
+    }
+    return segs;
+}
+
+// A message under test: the source and destination layouts with backing
+// memory (destination bytes are reset to a fixed pattern before each run).
+struct stream_case {
+    std::vector<std::vector<std::byte>> memory;
+    gather_source src;
+    scatter_dest dst;
+
+    stream_case(rng& r, std::size_t total) {
+        memory.reserve(2 * max_segments);
+        for (const auto& [op, len] : random_layout(r, total)) {
+            if (op == segment_op::zeros) {
+                src.add_zeros(len);
+                continue;
+            }
+            memory.emplace_back(len);
+            r.fill(memory.back());
+            src.add(memory.back(), op);
+        }
+        for (const auto& [op, len] : random_layout(r, total)) {
+            if (op == segment_op::zeros) {
+                dst.add_discard(len);
+                continue;
+            }
+            memory.emplace_back(len);
+            dst.add(memory.back(), op);
+        }
+    }
+
+    // Every destination byte, in layout order.
+    std::vector<std::byte> reset_and_snapshot(bool reset) const {
+        std::vector<std::byte> out;
+        for (const scatter_segment& s : dst.segments()) {
+            if (s.data == nullptr) continue;
+            if (reset) std::memset(s.data, 0xa5, s.len);
+            out.insert(out.end(), s.data, s.data + s.len);
+        }
+        return out;
+    }
+};
+
+// The per-unit definition of the loop: every unit assembled by fill, run
+// through each stage sub-unit by sub-unit, and written by drain.
+template <typename Mem, typename... Stages>
+void per_unit_loop(const Mem& mem, const gather_source& src,
+                   const scatter_dest& dst, Stages&... stages) {
+    constexpr std::size_t unit = fused_pipeline<Stages...>::unit_bytes;
+    gather_cursor in(src);
+    scatter_cursor out(dst);
+    alignas(8) std::byte scratch[unit];
+    for (std::size_t off = 0; off < src.total_size(); off += unit) {
+        in.fill(mem, scratch, unit);
+        (
+            [&] {
+                for (std::size_t i = 0; i < unit; i += Stages::unit_bytes) {
+                    stages.process_unit(mem, scratch + i);
+                }
+            }(),
+            ...);
+        out.drain(mem, scratch, unit);
+    }
+}
+
+// The loop under test, in two consecutive calls that share the cursors
+// (the first covering first_part bytes), as message parts do.
+template <typename Mem, typename... Stages>
+void run_wise_loop(const Mem& mem, const gather_source& src,
+                   const scatter_dest& dst, std::size_t first_part,
+                   Stages&... stages) {
+    fused_pipeline<Stages...> pipe(stages...);
+    gather_cursor in(src);
+    scatter_cursor out(dst);
+    pipe.run(mem, in, out, first_part);
+    pipe.run(mem, in, out, src.total_size() - first_part);
+}
+
+TEST(FusedPipeline, RunWiseLoopIssuesThePerUnitAccessStream) {
+    const auto key = test_key();
+    const safer_simplified cipher(key);
+    rng r(0x5eed);
+    std::size_t multi_segment_cases = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::size_t total = 8 * (2 + r.next_below(24));
+        const stream_case msg(r, total);
+        // A slice starting at an arbitrary word offset, a whole number of
+        // units long, split into two calls at a unit boundary.
+        const std::size_t off = 4 * r.next_below(total / 4 - 1);
+        const std::size_t units = 1 + r.next_below((total - off) / 8);
+        const std::size_t len = 8 * units;
+        const std::size_t first = 8 * r.next_below(units + 1);
+        const gather_source src = msg.src.slice(off, len);
+        const scatter_dest dst = msg.dst.slice(off, len);
+        if (src.segments().size() > 1 || dst.segments().size() > 1) {
+            ++multi_segment_cases;
+        }
+
+        const auto check = [&](const char* name, auto&& run_loop,
+                               bool with_stages) {
+            std::vector<mem_access> expect_log, got_log;
+            inet_accumulator expect_sum, got_sum;
+            msg.reset_and_snapshot(true);
+            {
+                const recording_memory mem(expect_log);
+                encrypt_stage<safer_simplified> enc(cipher);
+                checksum_tap8 tap(expect_sum);
+                if (with_stages) {
+                    per_unit_loop(mem, src, dst, enc, tap);
+                } else {
+                    per_unit_loop(mem, src, dst);
+                }
+            }
+            const auto expect_bytes = msg.reset_and_snapshot(false);
+            msg.reset_and_snapshot(true);
+            {
+                const recording_memory mem(got_log);
+                encrypt_stage<safer_simplified> enc(cipher);
+                checksum_tap8 tap(got_sum);
+                run_loop(mem, enc, tap);
+            }
+            const auto diverge =
+                std::mismatch(got_log.begin(), got_log.end(),
+                              expect_log.begin(), expect_log.end());
+            EXPECT_TRUE(got_log == expect_log)
+                << name << ", trial " << trial << ": " << got_log.size()
+                << " accesses vs " << expect_log.size()
+                << " per-unit, first difference at access "
+                << (diverge.first - got_log.begin());
+            EXPECT_EQ(msg.reset_and_snapshot(false), expect_bytes)
+                << name << ", trial " << trial;
+            EXPECT_EQ(got_sum.finish(), expect_sum.finish())
+                << name << ", trial " << trial;
+        };
+        check("fused<encrypt, checksum>", [&](const auto& mem, auto& enc,
+                                             auto& tap) {
+            run_wise_loop(mem, src, dst, first, enc, tap);
+        }, true);
+        check("fused<>", [&](const auto& mem, auto&, auto&) {
+            run_wise_loop(mem, src, dst, first);
+        }, false);
+        check("dynamic<encrypt, checksum>", [&](const auto& mem, auto& enc,
+                                               auto& tap) {
+            dynamic_pipeline<recording_memory> dyn;
+            dyn.add_stage(enc);
+            dyn.add_stage(tap);
+            gather_cursor in(src);
+            scatter_cursor out(dst);
+            dyn.run(mem, in, out, first);
+            dyn.run(mem, in, out, len - first);
+        }, true);
+    }
+    // Most slices span several segments, so both units moved run-wise and
+    // units straddling a segment boundary are exercised.
+    EXPECT_GT(multi_segment_cases, 100u);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@
 #include <bit>
 #include <cstring>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "buffer/byte_buffer.h"
 #include "crypto/block_cipher.h"
@@ -180,6 +182,128 @@ TEST(SaferSimplified, DiffersFromFullSafer) {
     full.encrypt_block(mem, a);
     simplified.encrypt_block(mem, b);
     EXPECT_NE(std::memcmp(a, b, 8), 0);
+}
+
+// Known-answer vectors: round trips cannot catch a change that alters
+// encryption and decryption consistently.  `encrypted` is encrypt_block and
+// `decrypted` is decrypt_block, each applied once to `input`.  The expected
+// bytes were computed with the loop-per-layer safer_simplified (before its
+// kernels were written out per byte position) and the table-backed
+// safer_k64 of the same tree; they were not re-derived from the code under
+// test.
+struct known_answer {
+    std::array<std::uint8_t, 8> key;
+    std::array<std::uint8_t, 8> input;
+    std::array<std::uint8_t, 8> encrypted;
+    std::array<std::uint8_t, 8> decrypted;
+};
+
+constexpr std::array<std::uint8_t, 8> kat_keys[] = {
+    {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
+    {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08},
+    {0x8f, 0x3a, 0xc4, 0x5d, 0x21, 0xe9, 0x70, 0xb6},
+};
+constexpr std::array<std::uint8_t, 8> kat_inputs[] = {
+    {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
+    {0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07},
+    {0xff, 0xee, 0x10, 0x42, 0x99, 0x07, 0xa5, 0x5a},
+};
+
+constexpr known_answer safer_simplified_kat[] = {
+    {kat_keys[0], kat_inputs[0],
+     {0x82, 0x81, 0x01, 0x81, 0x82, 0x81, 0x01, 0x81},
+     {0x80, 0x01, 0x01, 0x80, 0x80, 0x01, 0x01, 0x80}},
+    {kat_keys[1], kat_inputs[1],
+     {0x63, 0x36, 0x8c, 0x9d, 0x3e, 0x11, 0xb3, 0xf9},
+     {0x31, 0xe0, 0x25, 0x64, 0x35, 0x0f, 0x21, 0x18}},
+    {kat_keys[2], kat_inputs[2],
+     {0x3f, 0x1f, 0xf9, 0x78, 0x98, 0xa8, 0x2f, 0x29},
+     {0xb7, 0xab, 0x20, 0xf3, 0x1d, 0xaf, 0x5b, 0x4e}},
+};
+
+constexpr known_answer safer_k64_6_rounds_kat[] = {
+    {kat_keys[0], kat_inputs[0],
+     {0x03, 0x28, 0x08, 0xc9, 0x0e, 0xe7, 0xab, 0x7f},
+     {0x9f, 0xd5, 0xc6, 0x29, 0x92, 0xef, 0x30, 0xd8}},
+    {kat_keys[1], kat_inputs[1],
+     {0xb0, 0x4d, 0xcd, 0x22, 0x71, 0xfd, 0x2d, 0x64},
+     {0x97, 0xe9, 0x29, 0x0b, 0x61, 0x1e, 0xe6, 0xf8}},
+    {kat_keys[2], kat_inputs[2],
+     {0xb7, 0x8a, 0xed, 0x03, 0x2a, 0xf1, 0xf3, 0x88},
+     {0xa0, 0xf0, 0x1f, 0xf4, 0x36, 0xd7, 0x12, 0xdc}},
+};
+
+template <typename MakeCipher>
+void expect_known_answers(std::span<const known_answer> vectors,
+                          MakeCipher make) {
+    memsim::direct_memory mem;
+    for (const known_answer& v : vectors) {
+        const auto cipher = make(std::as_bytes(std::span(v.key)));
+        std::array<std::uint8_t, 8> block = v.input;
+        cipher.encrypt_block(mem, reinterpret_cast<std::byte*>(block.data()));
+        EXPECT_EQ(block, v.encrypted);
+        block = v.input;
+        cipher.decrypt_block(mem, reinterpret_cast<std::byte*>(block.data()));
+        EXPECT_EQ(block, v.decrypted);
+    }
+}
+
+TEST(SaferSimplified, KnownAnswers) {
+    expect_known_answers(safer_simplified_kat, [](auto key) {
+        return safer_simplified(key);
+    });
+}
+
+TEST(SaferK64, KnownAnswersSixRounds) {
+    expect_known_answers(safer_k64_6_rounds_kat,
+                         [](auto key) { return safer_k64(key, 6); });
+}
+
+// Records the address of every byte load a cipher issues, in order.
+struct load_order_memory : memsim::direct_memory {
+    std::vector<const std::byte*>* loads;
+    std::uint8_t load_u8(const std::byte* p) const {
+        loads->push_back(p);
+        return direct_memory::load_u8(p);
+    }
+};
+
+TEST(SaferSimplified, AccessOrderFollowsTheLayers) {
+    // Encryption reads the 8 key bytes in order, then one table byte per
+    // position (E for positions 0,3,4,7, L for the rest); decryption reads
+    // the tables first and the key last.  The simulator's miss counts
+    // depend on this order, not just on the access counts.
+    const key_array key = make_key(21);
+    const safer_simplified cipher({key.data(), key.size()});
+    std::vector<const std::byte*> loads;
+    const load_order_memory mem{{}, &loads};
+    const std::byte* const exp = safer_exp_table();
+    const std::byte* const log = safer_log_table();
+    const auto expect_table_reads = [&](std::size_t first, bool encrypt) {
+        for (std::size_t j = 0; j < 8; ++j) {
+            const bool xor_position = j == 0 || j == 3 || j == 4 || j == 7;
+            const std::byte* table = (xor_position == encrypt) ? exp : log;
+            const std::byte* p = loads[first + j];
+            EXPECT_TRUE(p >= table && p < table + 256) << "position " << j;
+        }
+    };
+    const auto expect_key_reads = [&](std::size_t first) {
+        for (std::size_t j = 1; j < 8; ++j) {
+            EXPECT_EQ(loads[first + j], loads[first] + j) << "position " << j;
+        }
+    };
+    std::byte block[8] = {};
+    cipher.encrypt_block(mem, block);
+    ASSERT_EQ(loads.size(), 16u);
+    expect_key_reads(0);
+    expect_table_reads(8, true);
+    const std::byte* const key_bytes = loads[0];
+    loads.clear();
+    cipher.decrypt_block(mem, block);
+    ASSERT_EQ(loads.size(), 16u);
+    expect_table_reads(0, false);
+    expect_key_reads(8);
+    EXPECT_EQ(loads[8], key_bytes);
 }
 
 TEST(SimpleCipher, RoundTrip) {

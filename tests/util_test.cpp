@@ -117,6 +117,20 @@ TEST(Rng, FillCoversWholeSpan) {
     EXPECT_GT(nonzero, 20);  // overwhelmingly likely for random bytes
 }
 
+TEST(Rng, FillLaysOutEachDrawLeastSignificantByteFirst) {
+    // File contents, and so every fleet digest, depend on this byte order.
+    rng filler(12);
+    rng draws(12);
+    std::byte buf[37];
+    filler.fill(buf);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < sizeof buf; ++i) {
+        if (i % 8 == 0) v = draws.next_u64();
+        EXPECT_EQ(std::to_integer<std::uint64_t>(buf[i]), v & 0xff) << i;
+        v >>= 8;
+    }
+}
+
 TEST(Rng, DoubleInUnitInterval) {
     rng r(11);
     for (int i = 0; i < 1000; ++i) {
